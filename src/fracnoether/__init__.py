@@ -1,7 +1,6 @@
 """fracnoether: discrete fractional calculus, fractional Euler-Lagrange
 solvers, and numerical verification of Noether-type conservation laws."""
 
-from ._kernels import BACKEND
 from .fracops import (
     FractionalOrder,
     Grid,
@@ -64,8 +63,10 @@ from .symmetry import (
 
 __version__ = "0.1.0"
 
+# Read by perfbench/worker.py for every benchmark record; there is one backend.
+BACKEND = "numpy"
+
 __all__ = [
-    "BACKEND",
     "__version__",
     "FractionalOrder",
     "Grid",

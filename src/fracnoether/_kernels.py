@@ -1,52 +1,42 @@
-"""Weight-matrix assembly kernels for the weakly singular quadratures.
+"""Weight profiles and weight matrices of the weakly singular quadratures.
 
-On the equidistant partition every node difference t_k - t_i is (k - i)*h, so
-each operator matrix is built from an O(N) profile of kernel antiderivative
-values P[g] = (g*h)^alpha and the O(N^2) work is the structured fill.  Two
-interchangeable backends do that fill: a compiled Cython extension
-(``fracnoether._kernels_cy``) and the pure-numpy routines here.  Both follow
-entry-wise identical expression trees from the same libm-pow profile values,
-so their outputs agree bit for bit; a test asserts this.
+On the equidistant partition every node difference t_k - t_i is (k - i)*h,
+so each operator is determined by an O(N) profile of panel weights
+W[g] = ((g*h)^e - ((g-1)*h)^e)/gamma, built once here by ``weight_profile``.
+The fractional integral uses e = alpha, gamma = Gamma(alpha+1); the L1
+Caputo derivative uses e = 1-alpha, gamma = Gamma(2-alpha).
 
 Only the left-sided matrices are assembled: the right-sided operators are
 exactly the left ones flipped in both indices (the kernels mirror under
-s -> a + b - s), and the flip preserves bit-identity trivially.
-
-The compiled backend is preferred when present.  Set ``FRACNOETHER_PURE=1``
-to force the numpy fallback.
+s -> a + b - s).
 """
 
 import math
-import os
 
 import numpy as np
 
-__all__ = [
-    "BACKEND",
-    "integral_weights",
-    "l1_weights",
-    "integral_weights_numpy",
-    "l1_weights_numpy",
-]
+__all__ = ["weight_profile", "integral_weights", "l1_weights"]
 
 
-def _pow_profile(n, h, expo):
-    """P[g] = (g*h)**expo for g = 0..n-1, via scalar libm pow."""
-    return np.array([math.pow(g * h, expo) for g in range(n)])
+def weight_profile(n, h, expo, gamma):
+    """Panel weights W[0] = 0, W[g] = ((g*h)^expo - ((g-1)*h)^expo)/gamma
+    for g = 1..n-1, from scalar libm pow values."""
+    p = np.array([math.pow(g * h, expo) for g in range(n)])
+    w = np.zeros(n)
+    w[1:] = (p[1:] - p[:-1]) / gamma
+    return w
 
 
-def integral_weights_numpy(n, h, alpha, ga1):
+def integral_weights(n, h, alpha, ga1):
     """Left fractional-integral weight matrix on n uniform nodes.
 
     Row k integrates the kernel (t_k - s)^(alpha-1)/Gamma(alpha) exactly
     against the per-panel arithmetic average of the integrand: the panel
-    weight W[g] = ((g*h)^alpha - ((g-1)*h)^alpha)/Gamma(alpha+1) for gap
-    g = k - i is split equally onto columns i and i+1.  ``ga1`` is
-    Gamma(alpha+1).  Row 0 is zero; entries above the diagonal are zero.
+    weight W[g] for gap g = k - i is split equally onto columns i and i+1.
+    ``ga1`` is Gamma(alpha+1).  Row 0 is zero; entries above the diagonal
+    are zero.
     """
-    p = _pow_profile(n, h, alpha)
-    w = np.zeros(n)
-    w[1:] = (p[1:] - p[:-1]) / ga1
+    w = weight_profile(n, h, alpha, ga1)
     v = np.zeros(n)
     v[1 : n - 1] = (w[2:] + w[1 : n - 1]) * 0.5
     out = np.zeros((n, n))
@@ -58,18 +48,18 @@ def integral_weights_numpy(n, h, alpha, ga1):
     return out
 
 
-def l1_weights_numpy(n, h, alpha, g2):
+def l1_weights(n, h, alpha, g2):
     """Left L1 Caputo-derivative matrix on n uniform nodes, alpha < 1.
 
     Row k applies the exact kernel integral of (t_k - s)^(-alpha) to the
-    piecewise-constant difference quotient (x_{i+1} - x_i)/h; with
-    B[g] = ((g*h)^(1-alpha) - ((g-1)*h)^(1-alpha))/Gamma(2-alpha) the entry
-    coupling is C[k, j] = (B[k-j+1] - B[k-j])/h.  ``g2`` is Gamma(2-alpha).
+    piecewise-constant difference quotient (x_{i+1} - x_i)/h; with the
+    profile B = W for e = 1-alpha the entry coupling is
+    C[k, j] = (B[k-j+1] - B[k-j])/h.  ``g2`` is Gamma(2-alpha).
+
+    No run path uses this matrix: ``fracops`` applies the same profile in
+    slope form.  It is kept as the dense test oracle for that form.
     """
-    e = 1.0 - alpha
-    q = _pow_profile(n, h, e)
-    b = np.zeros(n + 1)
-    b[1:n] = (q[1:] - q[:-1]) / g2
+    b = weight_profile(n, h, 1.0 - alpha, g2)
     u = np.zeros(n)
     u[1 : n - 1] = (b[2:n] - b[1 : n - 1]) / h
     out = np.zeros((n, n))
@@ -79,20 +69,3 @@ def l1_weights_numpy(n, h, alpha, g2):
         out[k, 0] = (0.0 - b[k]) / h
         out[k, k] = diag
     return out
-
-
-try:  # pragma: no cover - exercised through the backend-selection test
-    from . import _kernels_cy as _compiled
-except ImportError:  # pragma: no cover
-    _compiled = None
-
-_force_pure = os.environ.get("FRACNOETHER_PURE", "") not in ("", "0")
-
-if _compiled is not None and not _force_pure:
-    BACKEND = "cython"
-    integral_weights = _compiled.integral_weights
-    l1_weights = _compiled.l1_weights
-else:
-    BACKEND = "numpy"
-    integral_weights = integral_weights_numpy
-    l1_weights = l1_weights_numpy

@@ -71,7 +71,6 @@ class RunConfig:
     drift_tolerance: float
     conslaw_variant: str
     derivative_convention: str
-    ce_alpha_factor: bool
     outputs: str
 
 
@@ -160,7 +159,6 @@ _KNOWN_KEYS = frozenset(
         "drift_tolerance",
         "conslaw_variant",
         "derivative_convention",
-        "ce_alpha_factor",
         "outputs",
     }
 )
@@ -313,9 +311,6 @@ def make_config(pairs: dict) -> RunConfig:
         if "derivative_convention" in pairs
         else "caputo"
     )
-    alpha_factor = (
-        _bool(pairs, "ce_alpha_factor") if "ce_alpha_factor" in pairs else True
-    )
     outputs = pairs.get("outputs", "out")
     if not outputs:
         raise ConfigError("key 'outputs': empty path")
@@ -337,7 +332,6 @@ def make_config(pairs: dict) -> RunConfig:
         drift_tolerance=tolerance,
         conslaw_variant=variant,
         derivative_convention=convention,
-        ce_alpha_factor=alpha_factor,
         outputs=outputs,
     )
 

@@ -15,13 +15,15 @@ Quadrature conventions
   ``(x[i+1] - x[i]) / h``, and the kernel ``(t - s)**(-alpha)`` is
   integrated exactly.  ``alpha = 1`` falls back to second-order finite
   differences (central in the interior, one-sided at the ends).  The
-  trajectory-level operators evaluate in slope form (a convolution against
-  the node differences), so constants map to exactly zero; the dense matrix
-  realizations agree with them to rounding.
-* Right-sided operators are mirror images of the left-sided ones: their
-  matrices equal the left matrices flipped in both indices.  For derivatives
-  this carries the standard sign ``D_right = -I_right o d/dt``, so at
-  ``alpha = 1`` the right derivative of ``t`` is ``-1``.
+  derivatives evaluate in slope form (a convolution of the L1 weight
+  profile against the node differences), so constants map to exactly zero;
+  the dense L1 matrix ``_kernels.l1_weights`` is kept as the test oracle
+  and agrees with the slope form to rounding.
+* Right-sided operators are mirror images of the left-sided ones: the right
+  integral matrix is the left one flipped in both indices, and a right
+  derivative is the left derivative of the reversed path, reversed.  For
+  derivatives this carries the standard sign ``D_right = -I_right o d/dt``,
+  so at ``alpha = 1`` the right derivative of ``t`` is ``-1``.
 * Riemann-Liouville derivatives are obtained from the Caputo ones by adding
   the boundary correction
   ``x(boundary) * (distance to boundary)**(-alpha) / Gamma(1 - alpha)``.
@@ -34,7 +36,6 @@ read-only) and safe to share across threads.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -42,15 +43,6 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from . import _kernels
-
-
-class OperatorKind(enum.Enum):
-    LEFT_INTEGRAL = "left_integral"
-    RIGHT_INTEGRAL = "right_integral"
-    LEFT_CAPUTO = "left_caputo"
-    RIGHT_CAPUTO = "right_caputo"
-    LEFT_RL = "left_rl"
-    RIGHT_RL = "right_rl"
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,34 +148,21 @@ def make_trajectory(grid: Grid, values, mask=None) -> Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense (N+1) x (N+1) matrix realization of a fractional operator.
+    """Dense (N+1) x (N+1) matrix realization of a fractional integral."""
 
-    ``undefined_rows`` lists output nodes where the operator is singular
-    (Riemann-Liouville boundary node); those rows of ``entries`` are zero
-    and the corresponding output values are meaningless.
-    """
-
-    kind: OperatorKind
     alpha: FractionalOrder
     grid: Grid
     entries: np.ndarray = field(repr=False)
-    undefined_rows: tuple = ()
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Matrix-vector product on raw node samples, shape (N+1,) or (N+1, n)."""
         return self.entries @ np.asarray(values, dtype=float)
 
 
-def _finalize(kind, order, grid, entries, undefined_rows=()):
+def _finalize(order, grid, entries):
     entries = np.ascontiguousarray(entries)
     entries.setflags(write=False)
-    return OperatorMatrix(
-        kind=kind,
-        alpha=order,
-        grid=grid,
-        entries=entries,
-        undefined_rows=tuple(undefined_rows),
-    )
+    return OperatorMatrix(alpha=order, grid=grid, entries=entries)
 
 
 def left_integral_matrix(grid: Grid, alpha) -> OperatorMatrix:
@@ -197,7 +176,7 @@ def left_integral_matrix(grid: Grid, alpha) -> OperatorMatrix:
     entries = _kernels.integral_weights(
         grid.n_nodes, grid.h, o.alpha, math.gamma(o.alpha + 1.0)
     )
-    return _finalize(OperatorKind.LEFT_INTEGRAL, o, grid, entries)
+    return _finalize(o, grid, entries)
 
 
 def right_integral_matrix(grid: Grid, alpha) -> OperatorMatrix:
@@ -207,79 +186,7 @@ def right_integral_matrix(grid: Grid, alpha) -> OperatorMatrix:
     entries = np.flip(
         _kernels.integral_weights(grid.n_nodes, grid.h, o.alpha, math.gamma(o.alpha + 1.0))
     )
-    return _finalize(OperatorKind.RIGHT_INTEGRAL, o, grid, entries)
-
-
-def _central_difference_entries(grid: Grid) -> np.ndarray:
-    # central interior; one-sided ends, third-order four-point where the grid
-    # allows (keeps the boundary error of D_right o D_left compositions small),
-    # second-order three-point otherwise
-    n = grid.n_nodes
-    c = 1.0 / (2.0 * grid.h)
-    d = np.zeros((n, n))
-    rows = np.arange(1, n - 1)
-    d[rows, rows - 1] = -c
-    d[rows, rows + 1] = c
-    if n >= 4:
-        e = 1.0 / (6.0 * grid.h)
-        d[0, 0:4] = (-11.0 * e, 18.0 * e, -9.0 * e, 2.0 * e)
-        d[n - 1, n - 4 : n] = (-2.0 * e, 9.0 * e, -18.0 * e, 11.0 * e)
-    else:
-        d[0, 0:3] = (-3.0 * c, 4.0 * c, -1.0 * c)
-        d[n - 1, n - 3 : n] = (1.0 * c, -4.0 * c, 3.0 * c)
-    return d
-
-
-def _left_caputo_entries(grid: Grid, o: FractionalOrder) -> np.ndarray:
-    if o.alpha == 1.0:
-        return _central_difference_entries(grid)
-    return _kernels.l1_weights(grid.n_nodes, grid.h, o.alpha, math.gamma(2.0 - o.alpha))
-
-
-def left_caputo_matrix(grid: Grid, alpha) -> OperatorMatrix:
-    """Left Caputo derivative as a matrix (L1 rule; finite differences at
-    alpha = 1).  Row 0 is zero for alpha < 1: the defining integral from a
-    to a vanishes."""
-    o = _order(alpha)
-    return _finalize(OperatorKind.LEFT_CAPUTO, o, grid, _left_caputo_entries(grid, o))
-
-
-def right_caputo_matrix(grid: Grid, alpha) -> OperatorMatrix:
-    """Right Caputo derivative; the left matrix flipped in both indices,
-    which realizes the standard sign (-I^{1-alpha}_{b-} o d/dt)."""
-    o = _order(alpha)
-    entries = np.flip(_left_caputo_entries(grid, o))
-    return _finalize(OperatorKind.RIGHT_CAPUTO, o, grid, entries)
-
-
-def left_rl_matrix(grid: Grid, alpha) -> OperatorMatrix:
-    """Left Riemann-Liouville derivative: Caputo plus the x(a) boundary
-    correction.  Node 0 is undefined for alpha < 1 (the correction is
-    singular at t = a)."""
-    o = _order(alpha)
-    entries = _left_caputo_entries(grid, o).copy()
-    if o.alpha == 1.0:
-        return _finalize(OperatorKind.LEFT_RL, o, grid, entries)
-    k = np.arange(1, grid.n_nodes)
-    entries[1:, 0] += (k * grid.h) ** (-o.alpha) / math.gamma(1.0 - o.alpha)
-    entries[0, :] = 0.0
-    return _finalize(OperatorKind.LEFT_RL, o, grid, entries, undefined_rows=(0,))
-
-
-def right_rl_matrix(grid: Grid, alpha) -> OperatorMatrix:
-    """Right Riemann-Liouville derivative: right Caputo plus the x(b)
-    correction, singular (undefined) at t = b for alpha < 1."""
-    o = _order(alpha)
-    entries = np.ascontiguousarray(np.flip(_left_caputo_entries(grid, o)))
-    if o.alpha == 1.0:
-        return _finalize(OperatorKind.RIGHT_RL, o, grid, entries)
-    n = grid.n_nodes
-    k = np.arange(1, n)
-    entries[: n - 1, n - 1] += ((n - 1 - np.arange(n - 1)) * grid.h) ** (
-        -o.alpha
-    ) / math.gamma(1.0 - o.alpha)
-    entries[n - 1, :] = 0.0
-    return _finalize(OperatorKind.RIGHT_RL, o, grid, entries, undefined_rows=(n - 1,))
+    return _finalize(o, grid, entries)
 
 
 def _check_grid(grid: Grid, x: Trajectory) -> None:
@@ -307,15 +214,12 @@ def _caputo_core(grid: Grid, o: FractionalOrder, vals: np.ndarray) -> np.ndarray
             out[0] = (3.0 * s[0] - s[1]) * 0.5
             out[-1] = (3.0 * s[-1] - s[-2]) * 0.5
         return out
-    n_sub = grid.n_sub
-    g2 = math.gamma(2.0 - o.alpha)
-    e = 1.0 - o.alpha
-    q = np.array([math.pow(g * h, e) for g in range(n_sub + 1)])
-    b = np.zeros(n_sub + 1)
-    b[1:] = (q[1:] - q[:-1]) / g2
+    b = _kernels.weight_profile(
+        grid.n_nodes, h, 1.0 - o.alpha, math.gamma(2.0 - o.alpha)
+    )
     # out[k] = sum_{i<k} b[k-i] * s[i]; b[0] = 0 keeps row 0 and the
     # diagonal of the convolution matrix identically zero
-    return toeplitz(b, np.zeros(n_sub)) @ s
+    return toeplitz(b, np.zeros(grid.n_sub)) @ s
 
 
 def _rl_left_core(grid: Grid, o: FractionalOrder, vals: np.ndarray):

@@ -76,7 +76,6 @@ class TestMakeConfig:
         assert config.drift_tolerance == 5e-2
         assert config.conslaw_variant == "conslaw"
         assert config.derivative_convention == "caputo"
-        assert config.ce_alpha_factor is True
         assert config.outputs == "out"
 
     def test_oscillator_defaults(self):
@@ -188,16 +187,15 @@ class TestMakeConfig:
             self.base(
                 conslaw_variant="conslaw2",
                 derivative_convention="rl",
-                ce_alpha_factor="false",
-                expected_conserved="true",
+                expected_conserved="false",
                 drift_tolerance="0.1",
             )
         )
         assert config.conslaw_variant == "conslaw2"
         assert config.derivative_convention == "rl"
-        assert config.ce_alpha_factor is False
-        assert config.expected_conserved is True
+        assert config.expected_conserved is False
         assert config.drift_tolerance == 0.1
+        assert make_config(self.base(expected_conserved="true")).expected_conserved is True
         with pytest.raises(ConfigError, match="true/false"):
             make_config(self.base(expected_conserved="maybe"))
         with pytest.raises(ConfigError, match="drift_tolerance"):

@@ -1,10 +1,14 @@
-"""Tests for grids, fractional integral/derivative matrices, and composition rules."""
+"""Tests for grids, fractional integral matrices, slope-form derivatives, and
+composition rules."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fracnoether import _kernels
 from fracnoether import fracops as F
 
 ALPHAS = (0.25, 0.5, 0.75, 1.0)
@@ -187,12 +191,26 @@ class TestCaputo:
         rhs = F.caputo_left(g, alpha, F.make_trajectory(g, xs[::-1].copy())).values[::-1, 0]
         assert np.array_equal(lhs, rhs)
 
-    def test_matrix_flip_is_bitwise(self):
-        g = grid01(80)
-        for alpha in (0.35, 1.0):
-            c_l = F.left_caputo_matrix(g, alpha).entries
-            c_r = F.right_caputo_matrix(g, alpha).entries
-            assert np.array_equal(c_r, np.flip(c_l))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(0.01, 0.99),
+        n_sub=st.integers(2, 150),
+        a=st.floats(-10.0, 10.0),
+        length=st.floats(1e-2, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_slope_form_matches_l1_matrix(self, alpha, n_sub, a, length, seed):
+        # the dense L1 matrix is the oracle for the slope form; the right
+        # derivative is its flip in both indices
+        g = F.make_grid(a, a + length, n_sub)
+        xs = np.random.default_rng(seed).standard_normal(g.n_nodes)
+        c = _kernels.l1_weights(g.n_nodes, g.h, alpha, math.gamma(2.0 - alpha))
+        x = F.make_trajectory(g, xs)
+        tol = 1e-13 * np.max(np.sum(np.abs(c), axis=1)) * np.max(np.abs(xs))
+        left = F.caputo_left(g, alpha, x).values[:, 0]
+        right = F.caputo_right(g, alpha, x).values[:, 0]
+        assert np.max(np.abs(left - c @ xs)) <= tol
+        assert np.max(np.abs(right - np.flip(c) @ xs)) <= tol
 
     def test_half_order_of_sqrt_growth(self):
         # cD^{1/2} t^{1/2} = Gamma(1.5)/Gamma(1) * t^0 = sqrt(pi)/2
@@ -233,11 +251,16 @@ class TestRiemannLiouville:
         assert np.array_equal(rl.values, cap.values)
         assert rl.mask.all()
 
-    def test_undefined_rows_flagged(self):
+    def test_boundary_nodes_masked(self):
         g = grid01(10)
-        assert F.left_rl_matrix(g, 0.5).undefined_rows == (0,)
-        assert F.right_rl_matrix(g, 0.5).undefined_rows == (g.n_sub,)
-        assert F.left_rl_matrix(g, 1.0).undefined_rows == ()
+        rng = np.random.default_rng(5)
+        x = F.make_trajectory(g, rng.standard_normal(g.n_nodes))
+        left = F.rl_left(g, 0.5, x)
+        right = F.rl_right(g, 0.5, x)
+        assert not left.mask[0] and left.mask[1:].all()
+        assert not right.mask[g.n_sub] and right.mask[:-1].all()
+        assert F.rl_left(g, 1.0, x).mask.all()
+        assert F.rl_right(g, 1.0, x).mask.all()
 
 
 class TestComposition:
@@ -272,6 +295,10 @@ class TestComposition:
         assert rep.caputo_residual < 1e-13
 
 
+def _derivative_values(op, g, alpha, xs):
+    return op(g, alpha, F.make_trajectory(g, xs)).values[:, 0]
+
+
 class TestOperatorProperties:
     @pytest.mark.parametrize("alpha", (0.3, 0.6, 1.0))
     def test_linearity(self, alpha):
@@ -281,10 +308,13 @@ class TestOperatorProperties:
             x = rng.standard_normal(g.n_nodes)
             y = rng.standard_normal(g.n_nodes)
             c1, c2 = rng.standard_normal(2)
-            for build in (F.left_integral_matrix, F.left_caputo_matrix, F.right_caputo_matrix):
-                m = build(g, alpha)
-                combined = m.apply(c1 * x + c2 * y)
-                split = c1 * m.apply(x) + c2 * m.apply(y)
+            for apply in (
+                F.left_integral_matrix(g, alpha).apply,
+                lambda v: _derivative_values(F.caputo_left, g, alpha, v),
+                lambda v: _derivative_values(F.caputo_right, g, alpha, v),
+            ):
+                combined = apply(c1 * x + c2 * y)
+                split = c1 * apply(x) + c2 * apply(y)
                 scale = max(np.max(np.abs(combined)), 1.0)
                 assert np.max(np.abs(combined - split)) < 1e-12 * scale
 
@@ -294,13 +324,14 @@ class TestOperatorProperties:
         base = rng.standard_normal(g.n_nodes)
         bumped = base.copy()
         bumped[25] += 1.0
-        for build, before in ((F.left_integral_matrix, True), (F.left_caputo_matrix, True)):
-            m = build(g, 0.5)
-            delta = m.apply(bumped) - m.apply(base)
-            assert np.max(np.abs(delta[:25])) == 0.0  # nodes strictly left of the bump
-        m_r = F.right_caputo_matrix(g, 0.5)
-        delta = m_r.apply(bumped) - m_r.apply(base)
-        assert np.max(np.abs(delta[26:])) == 0.0
+        m = F.left_integral_matrix(g, 0.5)
+        for apply, untouched in (
+            (m.apply, slice(None, 25)),  # nodes strictly left of the bump
+            (lambda v: _derivative_values(F.caputo_left, g, 0.5, v), slice(None, 25)),
+            (lambda v: _derivative_values(F.caputo_right, g, 0.5, v), slice(26, None)),
+        ):
+            delta = apply(bumped) - apply(base)
+            assert np.max(np.abs(delta[untouched])) == 0.0
 
     def test_alpha_to_one_continuity_of_integral(self):
         g = grid01(50)

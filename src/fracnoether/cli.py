@@ -16,9 +16,8 @@ Commands (``fracnoether <command> --config <path> [--out <dir>]``):
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 check or conservation failure.  Nothing else is ever returned.
 
-Orders in a sweep are solved concurrently (``FRACNOETHER_THREADS`` caps
-the pool); files are written serially in ascending order, so output
-bytes do not depend on the thread count.  Values are serialized with 17
+Orders in a sweep run one after another, in ascending order, and their
+files are written in that order.  Values are serialized with 17
 significant digits and masked nodes as empty fields; every file starts
 with ``#`` comment lines recording the problem, the operator
 conventions, and the tolerances in force.
@@ -29,7 +28,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -100,36 +98,6 @@ def _node_rows(grid, values, mask):
     return rows
 
 
-def _thread_count(n_jobs: int) -> int:
-    raw = os.environ.get("FRACNOETHER_THREADS")
-    if raw is not None:
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"FRACNOETHER_THREADS must be a positive integer, got {raw!r}"
-            ) from None
-        if threads < 1:
-            raise ConfigError(
-                f"FRACNOETHER_THREADS must be a positive integer, got {raw!r}"
-            )
-    else:
-        threads = os.cpu_count() or 1
-    return max(1, min(threads, n_jobs))
-
-
-def _map_alphas(alphas, worker):
-    """Run ``worker(alpha)`` for each distinct order, possibly in
-    parallel; results come back keyed and iterated in ascending order."""
-    ordered = sorted(set(alphas))
-    threads = _thread_count(len(ordered))
-    if threads == 1:
-        return {a: worker(a) for a in ordered}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {a: pool.submit(worker, a) for a in ordered}
-        return {a: futures[a].result() for a in ordered}
-
-
 # ---------------------------------------------------------------------------
 # problem realization
 
@@ -192,7 +160,7 @@ def cmd_solve(config: RunConfig) -> int:
         raise ConfigError(
             "problem 'example2' has no linear solve; use the noether or check command"
         )
-    results = _map_alphas(config.alphas, lambda a: _trajectory(config, a))
+    results = {a: _trajectory(config, a) for a in sorted(set(config.alphas))}
     os.makedirs(config.outputs, exist_ok=True)
     names = [f"x{j + 1}" for j in range(config.dim)]
     for alpha, x in results.items():
@@ -235,11 +203,10 @@ def _quantity(config: RunConfig, x, alpha):
 
 
 def cmd_noether(config: RunConfig) -> int:
-    def worker(alpha):
-        x = _trajectory(config, alpha)
-        return _quantity(config, x, alpha)
-
-    results = _map_alphas(config.alphas, worker)
+    results = {
+        a: _quantity(config, _trajectory(config, a), a)
+        for a in sorted(set(config.alphas))
+    }
     os.makedirs(config.outputs, exist_ok=True)
     convention = (
         config.derivative_convention
@@ -256,7 +223,10 @@ def cmd_noether(config: RunConfig) -> int:
             ["t", "I"],
             _node_rows(series.grid, series.values[:, None], series.mask),
         )
-        report = NO.drift(series)
+        try:
+            report = NO.drift(series)
+        except ValueError as exc:
+            raise ConfigError(f"alpha = {_alpha_tag(alpha)}: {exc}") from None
         summary.append(
             [
                 _fmt(alpha),
@@ -308,6 +278,12 @@ def cmd_check(config: RunConfig) -> int:
         10.0 * max(composition.caputo_residual, composition.rl_residual),
         1e-9,
     )
+    try:
+        chain_rule = SY.check_chain_rule(
+            group, probe, alpha, CHAIN_RULE_S, tol=tol_discrete
+        )
+    except ValueError as exc:
+        raise ConfigError(f"group {config.group!r}: {exc}") from None
     reports = [
         ("group_law", SY.check_group_law(group, tol=DEFAULT_GROUP_TOLERANCE)),
         ("admissible", SY.check_admissible(group, tol=DEFAULT_GROUP_TOLERANCE)),
@@ -317,10 +293,7 @@ def cmd_check(config: RunConfig) -> int:
                 group, config.interval[0], tol=DEFAULT_GROUP_TOLERANCE
             ),
         ),
-        (
-            "chain_rule",
-            SY.check_chain_rule(group, probe, alpha, CHAIN_RULE_S, tol=tol_discrete),
-        ),
+        ("chain_rule", chain_rule),
         (
             "invariance",
             SY.check_invariance(L, group, x, alpha, tol=tol_discrete),

@@ -197,6 +197,11 @@ def make_config(pairs: dict) -> RunConfig:
             )
     else:
         interval = (0.0, 1.0)
+    if problem == "example2" and interval[0] < 0.0:
+        raise ConfigError(
+            "key 'interval': problem 'example2' needs a >= 0, "
+            f"got {pairs['interval']!r}"
+        )
 
     omega = None
     if problem == "oscillator":

@@ -176,11 +176,16 @@ def _check_compatible(L: LagrangianSpec, x: Trajectory) -> None:
         raise ValueError(f"Lagrangian dim {L.dim} != trajectory dim {x.dim}")
 
 
-def _scalar_series(fn, grid, xvals, vvals):
-    """Sample a scalar evaluator (eval, d_t) along the grid; shape (N+1,)."""
-    out = np.empty(grid.n_nodes)
-    for k in range(grid.n_nodes):
-        out[k] = fn(grid.nodes[k], xvals[k], vvals[k])
+def _require_defined(x: Trajectory, what: str) -> None:
+    if not np.all(x.mask):
+        raise ValueError(f"{what} requires a fully defined trajectory")
+
+
+def _scalar_series(fn, times, xvals, vvals):
+    """Sample a scalar evaluator (eval, d_t) at each node time."""
+    out = np.empty(len(times))
+    for k in range(len(times)):
+        out[k] = fn(times[k], xvals[k], vvals[k])
     return out
 
 
@@ -198,7 +203,7 @@ def action(L: LagrangianSpec, x: Trajectory, alpha) -> float:
     _check_compatible(L, x)
     grid = x.grid
     v = caputo_left(grid, o, x)
-    f = _scalar_series(L.eval, grid, x.values, v.values)
+    f = _scalar_series(L.eval, grid.nodes, x.values, v.values)
     if not np.all(np.isfinite(f)):
         k = int(np.argmin(np.isfinite(f)))
         raise ValueError(f"non-finite action integrand at node {k}")
@@ -234,7 +239,7 @@ def second_el_quantity(L: LagrangianSpec, x: Trajectory, alpha) -> QuantitySerie
     _check_compatible(L, x)
     grid = x.grid
     v = caputo_left(grid, o, x)
-    lvals = _scalar_series(L.eval, grid, x.values, v.values)
+    lvals = _scalar_series(L.eval, grid.nodes, x.values, v.values)
     p = _vector_series(L.d_v, grid, x.values, v.values, L.dim)
     series = lvals - np.sum(v.values * p, axis=1)
     return make_series(grid, series)
@@ -260,9 +265,9 @@ def extended_el_residual(E: ExtendedLagrangianSpec, x: Trajectory, alpha_factor:
     res_a = el_residual(L, x, o)
 
     v = caputo_left(grid, o, x)
-    lvals = _scalar_series(L.eval, grid, x.values, v.values)
+    lvals = _scalar_series(L.eval, grid.nodes, x.values, v.values)
     p = _vector_series(L.d_v, grid, x.values, v.values, L.dim)
-    dt = _scalar_series(L.d_t, grid, x.values, v.values)
+    dt = _scalar_series(L.d_t, grid.nodes, x.values, v.values)
     factor = o.alpha if alpha_factor else 1.0
     inner = lvals - factor * np.sum(v.values * p, axis=1)
     res_b = dt - np.gradient(inner, grid.h, edge_order=2)

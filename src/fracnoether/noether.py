@@ -51,6 +51,8 @@ from .fracops import (
 from .lagrangian import (
     LagrangianSpec,
     QuantitySeries,
+    _check_compatible,
+    _require_defined,
     _scalar_series,
     _vector_series,
     make_series,
@@ -92,11 +94,6 @@ def drift(series: QuantitySeries) -> DriftReport:
 
 # ---------------------------------------------------------------------------
 # assembly pieces
-
-
-def _require_defined(x: Trajectory, what: str) -> None:
-    if not np.all(x.mask):
-        raise ValueError(f"{what} requires a fully defined trajectory")
 
 
 def _left_op(convention: str):
@@ -151,7 +148,7 @@ def _assemble_quantity(
     dxdot = left(grid, o, make_trajectory(grid, xdot)).values
     dxi = left(grid, o, make_trajectory(grid, xi)).values
 
-    lvals = _scalar_series(L.eval, grid, x.values, dxa)
+    lvals = _scalar_series(L.eval, grid.nodes, x.values, dxa)
     p = _vector_series(L.d_v, grid, x.values, dxa, L.dim)
 
     shifted = xdot * zeta[:, None] - xi
@@ -211,8 +208,7 @@ def noether_quantity(
     """
     o = _order(alpha)
     _require_defined(x, "noether_quantity")
-    if L.dim != x.dim:
-        raise ValueError(f"Lagrangian dim {L.dim} != trajectory dim {x.dim}")
+    _check_compatible(L, x)
     zeta, zeta_dot, xi = _group_series(g, x)
     context = (
         f"{variant} form; D_a+ = {convention}, D_b- = rl; "
@@ -240,11 +236,10 @@ def autonomous_quantity(
     """
     o = _order(alpha)
     _require_defined(x, "autonomous_quantity")
-    if L.dim != x.dim:
-        raise ValueError(f"Lagrangian dim {L.dim} != trajectory dim {x.dim}")
+    _check_compatible(L, x)
     grid = x.grid
     dxa = _left_op(convention)(grid, o, x).values
-    tvals = _scalar_series(L.d_t, grid, x.values, dxa)
+    tvals = _scalar_series(L.d_t, grid.nodes, x.values, dxa)
     tvals = tvals[np.isfinite(tvals)]
     if tvals.size and float(np.max(np.abs(tvals))) > tol:
         raise ValueError(
@@ -339,8 +334,7 @@ def infinitesimal_criterion_residual(
     """
     o = _order(alpha)
     _require_defined(x, "infinitesimal_criterion_residual")
-    if L.dim != x.dim:
-        raise ValueError(f"Lagrangian dim {L.dim} != trajectory dim {x.dim}")
+    _check_compatible(L, x)
     grid = x.grid
     left = _left_op(convention)
 
@@ -348,8 +342,8 @@ def infinitesimal_criterion_residual(
     zeta, zeta_dot, xi = _group_series(g, x)
     dxi = left(grid, o, make_trajectory(grid, xi)).values
 
-    lvals = _scalar_series(L.eval, grid, x.values, dxa)
-    tvals = _scalar_series(L.d_t, grid, x.values, dxa)
+    lvals = _scalar_series(L.eval, grid.nodes, x.values, dxa)
+    tvals = _scalar_series(L.d_t, grid.nodes, x.values, dxa)
     dgx = _vector_series(L.d_x, grid, x.values, dxa, L.dim)
     p = _vector_series(L.d_v, grid, x.values, dxa, L.dim)
 
@@ -383,8 +377,7 @@ def weak_theorem_residual(
     """
     o = _order(alpha)
     _require_defined(x, "weak_theorem_residual")
-    if L.dim != x.dim:
-        raise ValueError(f"Lagrangian dim {L.dim} != trajectory dim {x.dim}")
+    _check_compatible(L, x)
     grid = x.grid
     h = grid.h
     left = _left_op(convention)
@@ -393,7 +386,7 @@ def weak_theorem_residual(
     zeta, _, xi = _group_series(g, x)
     dxi = left(grid, o, make_trajectory(grid, xi)).values
 
-    lvals = _scalar_series(L.eval, grid, x.values, dxa)
+    lvals = _scalar_series(L.eval, grid.nodes, x.values, dxa)
     p = _vector_series(L.d_v, grid, x.values, dxa, L.dim)
     p_rows = np.all(np.isfinite(p), axis=1)
     dbp = rl_right(grid, o, make_trajectory(grid, p, mask=p_rows)).values

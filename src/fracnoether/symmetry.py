@@ -43,7 +43,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fracops import Trajectory, _order, caputo_left, make_grid, make_trajectory
-from .lagrangian import LagrangianSpec
+from .lagrangian import (
+    LagrangianSpec,
+    _check_compatible,
+    _require_defined,
+    _scalar_series,
+)
 
 DEFAULT_S_SAMPLES = (-0.5, -0.1, 0.1, 0.5)
 DEFAULT_T_COUNT = 33
@@ -225,9 +230,22 @@ def _space_map(g: GroupSpec, s: float, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_defined(x: Trajectory, what: str) -> None:
-    if not np.all(x.mask):
-        raise ValueError(f"{what} requires a fully defined trajectory")
+def _resample(
+    tau_nodes: np.ndarray, values: np.ndarray, a: float, n_sub: int
+) -> Trajectory:
+    """Interpolate values sampled at the mapped nodes tau_nodes onto the
+    uniform grid from a to tau_nodes[-1]; the time map must be strictly
+    increasing, else no transformed grid exists."""
+    if not np.all(np.diff(tau_nodes) > 0.0):
+        raise ValueError(
+            "phi0_s is not strictly increasing on the interval; "
+            "no transformed grid exists"
+        )
+    tgrid = make_grid(a, tau_nodes[-1], n_sub)
+    z_vals = np.empty_like(values)
+    for j in range(values.shape[1]):
+        z_vals[:, j] = np.interp(tgrid.nodes, tau_nodes, values[:, j])
+    return make_trajectory(tgrid, z_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -349,37 +367,21 @@ def check_chain_rule(
     s = float(s)
 
     tau_nodes = _time_map(g, s, grid.nodes)
-    if not np.all(np.diff(tau_nodes) > 0.0):
-        raise ValueError(
-            "phi0_s is not strictly increasing on the interval; "
-            "no transformed grid exists"
-        )
+    y_vals = _space_map(g, s, x.values)
+    z = _resample(tau_nodes, y_vals, tau_nodes[0], grid.n_sub)
     k_factor = dilation_factor(g, s, 0.5 * (grid.a + grid.b))
 
-    y_vals = _space_map(g, s, x.values)
-    tgrid = make_grid(tau_nodes[0], tau_nodes[-1], grid.n_sub)
-    z_vals = np.empty_like(y_vals)
-    for j in range(y_vals.shape[1]):
-        z_vals[:, j] = np.interp(tgrid.nodes, tau_nodes, y_vals[:, j])
-
-    lhs = caputo_left(tgrid, o, make_trajectory(tgrid, z_vals)).values
+    lhs = caputo_left(z.grid, o, z).values
     rhs = (
         caputo_left(grid, o, make_trajectory(grid, y_vals)).values
         * k_factor ** (-o.alpha)
     )
     worst = float(np.max(np.abs(lhs - rhs)))
     context = (
-        f"transformed base point {tgrid.a:.6g}, factor K = {k_factor:.6g}, "
+        f"transformed base point {z.grid.a:.6g}, factor K = {k_factor:.6g}, "
         f"alpha = {o.alpha:g}"
     )
     return _report(worst, tol, grid.n_nodes, context)
-
-
-def _integrand_series(L: LagrangianSpec, times, xvals, vvals) -> np.ndarray:
-    out = np.empty(xvals.shape[0])
-    for k in range(xvals.shape[0]):
-        out[k] = float(L.eval(float(times[k]), xvals[k], vvals[k]))
-    return out
 
 
 def check_invariance(
@@ -410,14 +412,13 @@ def check_invariance(
     """
     o = _order(alpha)
     _require_defined(x, "check_invariance")
-    if L.dim != x.dim:
-        raise ValueError(f"Lagrangian dim {L.dim} != trajectory dim {x.dim}")
+    _check_compatible(L, x)
     s_arr = _s_array(s_samples)
     grid = x.grid
 
     dx = caputo_left(grid, o, x).values
     reference = float(
-        np.trapezoid(_integrand_series(L, grid.nodes, x.values, dx), dx=grid.h)
+        np.trapezoid(_scalar_series(L.eval, grid.nodes, x.values, dx), dx=grid.h)
     )
 
     worst = 0.0
@@ -431,18 +432,12 @@ def check_invariance(
                     "fixed-base invariance requires phi0_s(a) = a; "
                     f"got phi0_s(a) = {tau_nodes[0]:g} for s = {s:g}"
                 )
-            if not np.all(np.diff(tau_nodes) > 0.0):
-                raise ValueError(
-                    "phi0_s is not strictly increasing on the interval"
-                )
-            tgrid = make_grid(grid.a, tau_nodes[-1], grid.n_sub)
-            z_vals = np.empty_like(y_vals)
-            for j in range(y_vals.shape[1]):
-                z_vals[:, j] = np.interp(tgrid.nodes, tau_nodes, y_vals[:, j])
-            dz = caputo_left(tgrid, o, make_trajectory(tgrid, z_vals)).values
+            z = _resample(tau_nodes, y_vals, grid.a, grid.n_sub)
+            dz = caputo_left(z.grid, o, z).values
             transformed = float(
                 np.trapezoid(
-                    _integrand_series(L, tgrid.nodes, z_vals, dz), dx=tgrid.h
+                    _scalar_series(L.eval, z.grid.nodes, z.values, dz),
+                    dx=z.grid.h,
                 )
             )
         else:
@@ -450,7 +445,7 @@ def check_invariance(
             times = _time_map(g, s, grid.nodes)
             dy = caputo_left(grid, o, make_trajectory(grid, y_vals)).values
             scaled = dy * k_factor ** (-o.alpha)
-            series = _integrand_series(L, times, y_vals, scaled) * k_factor
+            series = _scalar_series(L.eval, times, y_vals, scaled) * k_factor
             transformed = float(np.trapezoid(series, dx=grid.h))
         worst = max(worst, abs(transformed - reference) / (abs(reference) + 1.0))
 

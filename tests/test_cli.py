@@ -409,25 +409,51 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         capsys.readouterr()
 
-    def test_bad_thread_env_exits_1(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FRACNOETHER_THREADS", "zebra")
-        cfg = write_config(tmp_path, HARMONIC)
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert "FRACNOETHER_THREADS" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            (
+                "noether",
+                "problem = example2\nalphas = 0.5\nn_sub = 50\ninterval = -1, 1\n",
+            ),
+            (
+                "check",
+                "problem = example2\nalphas = 0.5\nn_sub = 50\ninterval = -1, 1\n",
+            ),
+            (
+                "check",
+                "problem = harmonic2d\nalphas = 0.5\nn_sub = 50\n"
+                "interval = -5, 1\ngroup = quadratic_time\n",
+            ),
+            (
+                "noether",
+                "problem = harmonic2d\nalphas = 0.5\nn_sub = 2\n"
+                "derivative_convention = rl\n",
+            ),
+        ],
+        ids=[
+            "example2-negative-a-noether",
+            "example2-negative-a-check",
+            "decreasing-time-map-check",
+            "one-defined-node-noether",
+        ],
+    )
+    def test_unusable_config_exits_1(self, tmp_path, capsys, command, text):
+        cfg = write_config(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 class TestDeterminism:
-    def test_outputs_byte_identical_across_runs_and_threads(
-        self, tmp_path, monkeypatch
-    ):
+    def test_outputs_byte_identical_across_runs(self, tmp_path):
         cfg = write_config(
             tmp_path,
             "problem = harmonic2d\nalphas = 0.4, 0.6, 0.8, 1.0\nn_sub = 100\n",
         )
         dirs = []
-        for name, threads in (("a", "1"), ("b", "4"), ("c", "4")):
+        for name in ("a", "b", "c"):
             out = tmp_path / name
-            monkeypatch.setenv("FRACNOETHER_THREADS", threads)
             assert main(["noether", "--config", cfg, "--out", str(out)]) == 0
             assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
             dirs.append(out)

@@ -6,9 +6,12 @@ W[g] = ((g*h)^e - ((g-1)*h)^e)/gamma, built once here by ``weight_profile``.
 The fractional integral uses e = alpha, gamma = Gamma(alpha+1); the L1
 Caputo derivative uses e = 1-alpha, gamma = Gamma(2-alpha).
 
-Only the left-sided matrices are assembled: the right-sided operators are
-exactly the left ones flipped in both indices (the kernels mirror under
-s -> a + b - s).
+Only left-sided weight matrices are built here.  The right-sided operators
+are exactly the left ones flipped in both indices (the kernels mirror under
+s -> a + b - s).  Off column 0 each matrix is lower-triangular Toeplitz,
+so consumers need not apply it densely: the L1 derivative applies the
+profile by convolution, and the solver forms I_left @ I_right in O(N^2)
+from the integral matrix's last row, column 0 and one matrix-vector product.
 """
 
 import math

@@ -15,10 +15,11 @@ Quadrature conventions
   ``(x[i+1] - x[i]) / h``, and the kernel ``(t - s)**(-alpha)`` is
   integrated exactly.  ``alpha = 1`` falls back to second-order finite
   differences (central in the interior, one-sided at the ends).  The
-  derivatives evaluate in slope form (a convolution of the L1 weight
-  profile against the node differences), so constants map to exactly zero;
-  the dense L1 matrix ``_kernels.l1_weights`` is kept as the test oracle
-  and agrees with the slope form to rounding.
+  derivatives evaluate in slope form: a direct (not FFT) convolution of the
+  L1 weight profile with the difference quotients, per component, in
+  O(N^2) time and O(N) memory.  It is exactly causal and maps constants to
+  exactly zero; the dense L1 matrix ``_kernels.l1_weights`` is kept as the
+  test oracle and agrees with the slope form to rounding.
 * Right-sided operators are mirror images of the left-sided ones: the right
   integral matrix is the left one flipped in both indices, and a right
   derivative is the left derivative of the reversed path, reversed.  For
@@ -40,7 +41,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from . import _kernels
 
@@ -217,9 +217,12 @@ def _caputo_core(grid: Grid, o: FractionalOrder, vals: np.ndarray) -> np.ndarray
     b = _kernels.weight_profile(
         grid.n_nodes, h, 1.0 - o.alpha, math.gamma(2.0 - o.alpha)
     )
-    # out[k] = sum_{i<k} b[k-i] * s[i]; b[0] = 0 keeps row 0 and the
-    # diagonal of the convolution matrix identically zero
-    return toeplitz(b, np.zeros(grid.n_sub)) @ s
+    # out[k] = sum_{i<k} b[k-i] * s[i]; direct, not FFT, so the result is
+    # exactly causal (b[0] = 0 keeps row 0 zero) and zero slopes give zero
+    out = np.empty_like(vals)
+    for j in range(vals.shape[1]):
+        out[:, j] = np.convolve(b, s[:, j])[: grid.n_nodes]
+    return out
 
 
 def _rl_left_core(grid: Grid, o: FractionalOrder, vals: np.ndarray):

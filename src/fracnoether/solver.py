@@ -16,7 +16,9 @@ The scaling factor is taken as ((t - a)/(b - a))**alpha rather than
 ((t - a)/b)**alpha so that S(b) = 1 on general intervals, which the
 endpoint row requires; the two agree for a = 0.
 
-Solves are dense pivoted-LU with a 1-norm condition estimate; condition
+K is formed from the integral weight profile in O(N^2) time, with no matrix
+product (the integral matrices are Toeplitz off column 0).  The system stays
+dense: solves are pivoted LU with a 1-norm condition estimate, and condition
 estimates above 1e12 (or non-finite solutions) raise NumericalFailure.
 """
 
@@ -134,16 +136,59 @@ def boundary_shape(grid: Grid, alpha) -> np.ndarray:
     return ((grid.nodes - grid.a) / (grid.b - grid.a)) ** o.alpha
 
 
+def _integral_product(grid: Grid, o: FractionalOrder) -> np.ndarray:
+    """K = I_left @ I_right from the weight profile in O(N^2), no product.
+
+    Off column 0 the left integral matrix L is lower-triangular Toeplitz
+    with symbol t[g] = L[N, N-g] (g < N; t[N] = 0), and the right matrix is
+    R = J L J, so R[k, j] = t[j-k] for j < N.  Splitting the k = 0 term off
+    K[i, j] = sum_k L[i, k] R[k, j] leaves, for j < N,
+
+        K[i, j] = L[i, 0]*t[j] + C[i-1, j-1],   C = T T^T,
+
+    with T the full Toeplitz matrix of t, whose rows obey C[0] = t[0]*t
+    and C[i, j] = C[i-1, j-1] + t[i]*t[j].  Row 0 is exactly zero.  The
+    last column is L @ R[:, N]; R is reduced to that column before L is
+    built, so at most two N x N arrays are alive at once.
+    """
+    n = grid.n_nodes
+    r_last = right_integral_matrix(grid, o).entries[:, n - 1].copy()
+    left = left_integral_matrix(grid, o).entries
+    t = left[n - 1, ::-1].copy()
+    t[n - 1] = 0.0
+    k = np.empty((n, n))
+    c = np.zeros(n)
+    for i in range(n):
+        # shift C[i-1] to C[i-1, j-1], then close row i of K and of C
+        c[1:] = c[:-1]
+        c[0] = 0.0
+        np.multiply(t, left[i, 0], out=k[i])
+        k[i] += c
+        c += t[i] * t
+    k[:, n - 1] = left @ r_last
+    return k
+
+
 def assemble(problem: LinearProblem) -> AssembledSystem:
-    """Build the dense system for the integral form of the problem."""
+    """Build the dense system for the integral form of the problem.
+
+    K = I_left o I_right comes from the weight profile in O(N^2) (see
+    ``_integral_product``) and the system matrix is formed in its place;
+    the matrix stays dense for the LU solve.
+    """
     grid = problem.grid
     o = problem.alpha
     kappa = problem.kappa
     n = grid.n_nodes
 
-    k_mat = left_integral_matrix(grid, o).entries @ right_integral_matrix(grid, o).entries
     s = boundary_shape(grid, o)
-    m = np.eye(n) - kappa * k_mat + kappa * np.outer(s, k_mat[n - 1])
+    # m = I - kappa*K + kappa*outer(s, K[N]), without N x N temporaries
+    m = _integral_product(grid, o)
+    k_n = m[n - 1].copy()
+    m *= -kappa
+    m.flat[:: n + 1] += 1.0
+    for i in range(n):
+        m[i] += kappa * (s[i] * k_n)
 
     if isinstance(problem.bc, DirichletBC):
         rhs = np.outer(1.0 - s, problem.bc.xa) + np.outer(s, problem.bc.xb)

@@ -1,7 +1,11 @@
 """Tests for the linear fractional boundary-value solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracnoether import fracops as F
 from fracnoether import lagrangian as Lmod
@@ -111,6 +115,58 @@ class TestAssemble:
         ref = x + kx - np.outer(s, kx[-1])
         got = system.matrix @ x
         assert np.max(np.abs(got[1:-1] - ref[1:-1])) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        alpha=st.floats(0.01, 1.0),
+        n_sub=st.integers(2, 300),
+        a=st.floats(-10.0, 10.0),
+        length=st.floats(1e-2, 10.0),
+        kappa=st.floats(-5.0, 5.0),
+    )
+    def test_structured_k_matches_dense_product(self, alpha, n_sub, a, length, kappa):
+        # K from the weight profile against the dense operator product, and
+        # the system against I - kappa*K + kappa*outer(s, K[N]) built from it
+        # (interior rows: the boundary rows are replaced by the data rows)
+        grid = F.make_grid(a, a + length, n_sub)
+        order = F.FractionalOrder(alpha)
+        dense = (
+            F.left_integral_matrix(grid, order).entries
+            @ F.right_integral_matrix(grid, order).entries
+        )
+        k_mat = S._integral_product(grid, order)
+        assert np.max(np.abs(k_mat - dense)) <= 1e-13 * np.max(np.abs(dense))
+        assert not np.any(k_mat[0])
+
+        s = S.boundary_shape(grid, order)
+        ref = np.eye(grid.n_nodes) - kappa * dense + kappa * np.outer(s, dense[-1])
+        for bc in (S.dirichlet(1.0, 2.0), S.initial(0.0, 1.0)):
+            p = S.LinearProblem(grid=grid, alpha=order, dim=1, kappa=kappa, bc=bc)
+            m = S.assemble(p).matrix
+            expected = ref.copy()
+            if isinstance(bc, S.InitialBC):
+                expected[:, -1] -= s
+            tol = 1e-13 * np.max(np.abs(expected))
+            assert np.max(np.abs(m[1:-1] - expected[1:-1])) <= tol
+
+    @pytest.mark.parametrize(
+        "bc",
+        [S.dirichlet((1.0, 2.0), (2.0, 1.0)), S.initial((0.0, 1.0), (1.0, 0.0))],
+        ids=["dirichlet", "initial"],
+    )
+    def test_assemble_peak_allocation(self, bc):
+        # at most two (N+1)^2 arrays alive at once: the left integral matrix
+        # and K; the dense product I_left @ I_right needs three
+        grid = F.make_grid(0.0, 1.0, 800)
+        p = S.LinearProblem(grid=grid, alpha=0.5, dim=2, kappa=-1.0, bc=bc)
+        S.assemble(p)
+        tracemalloc.start()
+        try:
+            S.assemble(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 8 * grid.n_nodes**2
 
     def test_dirichlet_rows_pinned(self):
         system = S.assemble(harmonic_problem(16, 0.5))

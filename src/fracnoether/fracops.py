@@ -1,8 +1,9 @@
 """Discrete fractional operators on uniform grids.
 
-Dense matrix representations of the left/right Riemann-Liouville fractional
-integral of order ``alpha`` in (0, 1], plus Caputo and Riemann-Liouville
-derivatives applied to sampled trajectories.
+The left Riemann-Liouville fractional integral of order ``alpha`` in
+(0, 1] as one read-only dense array (the right integral is a flipped view
+of it), plus Caputo and Riemann-Liouville derivatives applied to sampled
+trajectories.
 
 Quadrature conventions
 ----------------------
@@ -21,8 +22,9 @@ Quadrature conventions
   exactly zero; the dense L1 matrix ``_kernels.l1_weights`` is kept as the
   test oracle and agrees with the slope form to rounding.
 * Right-sided operators are mirror images of the left-sided ones: the right
-  integral matrix is the left one flipped in both indices, and a right
-  derivative is the left derivative of the reversed path, reversed.  For
+  integral matrix is a view of the left one flipped in both indices (one
+  fill, no copy), and a right derivative is the left derivative of the
+  reversed path, reversed.  For
   derivatives this carries the standard sign ``D_right = -I_right o d/dt``,
   so at ``alpha = 1`` the right derivative of ``t`` is ``-1``.
 * Riemann-Liouville derivatives are obtained from the Caputo ones by adding
@@ -146,27 +148,9 @@ def make_trajectory(grid: Grid, values, mask=None) -> Trajectory:
     return Trajectory(grid=grid, dim=arr.shape[1], values=arr, mask=m)
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """Dense (N+1) x (N+1) matrix realization of a fractional integral."""
-
-    alpha: FractionalOrder
-    grid: Grid
-    entries: np.ndarray = field(repr=False)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Matrix-vector product on raw node samples, shape (N+1,) or (N+1, n)."""
-        return self.entries @ np.asarray(values, dtype=float)
-
-
-def _finalize(order, grid, entries):
-    entries = np.ascontiguousarray(entries)
-    entries.setflags(write=False)
-    return OperatorMatrix(alpha=order, grid=grid, entries=entries)
-
-
-def left_integral_matrix(grid: Grid, alpha) -> OperatorMatrix:
-    """Left Riemann-Liouville integral I^alpha_{a+} as a matrix.
+def left_integral_matrix(grid: Grid, alpha) -> np.ndarray:
+    """Left Riemann-Liouville integral I^alpha_{a+} as a read-only
+    (N+1) x (N+1) array.
 
     Row 0 is identically zero (the integral from a to a); row k integrates
     the piecewise-average interpolant against the exact kernel, splitting
@@ -176,17 +160,15 @@ def left_integral_matrix(grid: Grid, alpha) -> OperatorMatrix:
     entries = _kernels.integral_weights(
         grid.n_nodes, grid.h, o.alpha, math.gamma(o.alpha + 1.0)
     )
-    return _finalize(o, grid, entries)
+    entries.setflags(write=False)
+    return entries
 
 
-def right_integral_matrix(grid: Grid, alpha) -> OperatorMatrix:
-    """Right Riemann-Liouville integral I^alpha_{b-}; the left matrix flipped
-    in both indices (change of variables s -> a + b - s)."""
-    o = _order(alpha)
-    entries = np.flip(
-        _kernels.integral_weights(grid.n_nodes, grid.h, o.alpha, math.gamma(o.alpha + 1.0))
-    )
-    return _finalize(o, grid, entries)
+def right_integral_matrix(grid: Grid, alpha) -> np.ndarray:
+    """Right Riemann-Liouville integral I^alpha_{b-}: a read-only view of
+    the left matrix flipped in both indices (change of variables
+    s -> a + b - s), with no second fill or copy."""
+    return np.flip(left_integral_matrix(grid, alpha))
 
 
 def _check_grid(grid: Grid, x: Trajectory) -> None:
@@ -301,13 +283,13 @@ def check_composition(grid: Grid, alpha, x: Trajectory) -> CompositionReport:
     cap = caputo_left(grid, o, x)
     rl = rl_left(grid, o, x)
 
-    recon_cap = integ.apply(cap.values)
+    recon_cap = integ @ cap.values
     target_cap = x.values - x.values[0]
     interior = slice(1, grid.n_sub)
     caputo_residual = float(np.max(np.abs(recon_cap - target_cap)[interior]))
 
     rl_vals = np.where(rl.mask[:, None], rl.values, 0.0)
-    recon_rl = integ.apply(rl_vals)
+    recon_rl = integ @ rl_vals
     rl_residual = float(np.max(np.abs(recon_rl - x.values)[interior]))
 
     return CompositionReport(

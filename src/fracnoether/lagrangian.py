@@ -167,6 +167,12 @@ def extend(L: LagrangianSpec, alpha) -> ExtendedLagrangianSpec:
 
     On the slice w = 1 the extension restricts to L itself, and
     d(L~)/dw = L - alpha * v . dL/dv there.
+
+    No run path evaluates the extension; it is the reference for
+    ``noether.infinitesimal_criterion_residual``, which at w = 1 equals
+    zeta dL~/dt + xi . dL~/dx + zeta-dot dL~/dw + D[xi] . dL~/dv for
+    ``extend(L, alpha)``, and for ``extend(L, 1)`` with
+    ``ce_alpha_factor=False``.
     """
     return ExtendedLagrangianSpec(base=L, alpha=_order(alpha))
 
@@ -181,20 +187,11 @@ def _require_defined(x: Trajectory, what: str) -> None:
         raise ValueError(f"{what} requires a fully defined trajectory")
 
 
-def _scalar_series(fn, times, xvals, vvals):
-    """Sample a scalar evaluator (eval, d_t) at each node time."""
-    out = np.empty(len(times))
-    for k in range(len(times)):
-        out[k] = fn(times[k], xvals[k], vvals[k])
-    return out
-
-
-def _vector_series(fn, grid, xvals, vvals, dim):
-    """Sample a vector evaluator (d_x, d_v) along the grid; shape (N+1, dim)."""
-    out = np.empty((grid.n_nodes, dim))
-    for k in range(grid.n_nodes):
-        out[k] = np.asarray(fn(grid.nodes[k], xvals[k], vvals[k]), dtype=float)
-    return out
+def _node_series(fn, times, xvals, vvals, dim=None):
+    """Sample an evaluator at each node time: shape (N+1,) for a scalar one
+    (eval, d_t), (N+1, dim) for a vector one (d_x, d_v)."""
+    out = np.array([fn(t, x, v) for t, x, v in zip(times, xvals, vvals)], dtype=float)
+    return out.reshape((len(times),) if dim is None else (len(times), dim))
 
 
 def action(L: LagrangianSpec, x: Trajectory, alpha) -> float:
@@ -203,7 +200,7 @@ def action(L: LagrangianSpec, x: Trajectory, alpha) -> float:
     _check_compatible(L, x)
     grid = x.grid
     v = caputo_left(grid, o, x)
-    f = _scalar_series(L.eval, grid.nodes, x.values, v.values)
+    f = _node_series(L.eval, grid.nodes, x.values, v.values)
     if not np.all(np.isfinite(f)):
         k = int(np.argmin(np.isfinite(f)))
         raise ValueError(f"non-finite action integrand at node {k}")
@@ -221,9 +218,11 @@ def el_residual(L: LagrangianSpec, x: Trajectory, alpha) -> Trajectory:
     _check_compatible(L, x)
     grid = x.grid
     v = caputo_left(grid, o, x)
-    p = make_trajectory(grid, _vector_series(L.d_v, grid, x.values, v.values, L.dim))
+    p = make_trajectory(
+        grid, _node_series(L.d_v, grid.nodes, x.values, v.values, L.dim)
+    )
     dp = rl_right(grid, o, p)
-    dx = _vector_series(L.d_x, grid, x.values, v.values, L.dim)
+    dx = _node_series(L.d_x, grid.nodes, x.values, v.values, L.dim)
     vals = dp.values + dx
     return make_trajectory(grid, vals, mask=dp.mask.copy())
 
@@ -239,8 +238,8 @@ def second_el_quantity(L: LagrangianSpec, x: Trajectory, alpha) -> QuantitySerie
     _check_compatible(L, x)
     grid = x.grid
     v = caputo_left(grid, o, x)
-    lvals = _scalar_series(L.eval, grid.nodes, x.values, v.values)
-    p = _vector_series(L.d_v, grid, x.values, v.values, L.dim)
+    lvals = _node_series(L.eval, grid.nodes, x.values, v.values)
+    p = _node_series(L.d_v, grid.nodes, x.values, v.values, L.dim)
     series = lvals - np.sum(v.values * p, axis=1)
     return make_series(grid, series)
 
@@ -265,9 +264,9 @@ def extended_el_residual(E: ExtendedLagrangianSpec, x: Trajectory, alpha_factor:
     res_a = el_residual(L, x, o)
 
     v = caputo_left(grid, o, x)
-    lvals = _scalar_series(L.eval, grid.nodes, x.values, v.values)
-    p = _vector_series(L.d_v, grid, x.values, v.values, L.dim)
-    dt = _scalar_series(L.d_t, grid.nodes, x.values, v.values)
+    lvals = _node_series(L.eval, grid.nodes, x.values, v.values)
+    p = _node_series(L.d_v, grid.nodes, x.values, v.values, L.dim)
+    dt = _node_series(L.d_t, grid.nodes, x.values, v.values)
     factor = o.alpha if alpha_factor else 1.0
     inner = lvals - factor * np.sum(v.values * p, axis=1)
     res_b = dt - np.gradient(inner, grid.h, edge_order=2)

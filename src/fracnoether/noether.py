@@ -52,9 +52,8 @@ from .lagrangian import (
     LagrangianSpec,
     QuantitySeries,
     _check_compatible,
+    _node_series,
     _require_defined,
-    _scalar_series,
-    _vector_series,
     make_series,
 )
 from .symmetry import GroupSpec
@@ -148,8 +147,8 @@ def _assemble_quantity(
     dxdot = left(grid, o, make_trajectory(grid, xdot)).values
     dxi = left(grid, o, make_trajectory(grid, xi)).values
 
-    lvals = _scalar_series(L.eval, grid.nodes, x.values, dxa)
-    p = _vector_series(L.d_v, grid, x.values, dxa, L.dim)
+    lvals = _node_series(L.eval, grid.nodes, x.values, dxa)
+    p = _node_series(L.d_v, grid.nodes, x.values, dxa, L.dim)
 
     shifted = xdot * zeta[:, None] - xi
     if variant == "conslaw":
@@ -160,7 +159,7 @@ def _assemble_quantity(
     elif variant == "conslaw2":
         # on stationary trajectories D_b-[dL/dv] = -dL/dx; substituting
         # removes the right derivative (and its masked node) entirely
-        dgx = _vector_series(L.d_x, grid, x.values, dxa, L.dim)
+        dgx = _node_series(L.d_x, grid.nodes, x.values, dxa, L.dim)
         lead = -np.sum(dgx * shifted, axis=1)
     else:
         raise ValueError(
@@ -239,7 +238,7 @@ def autonomous_quantity(
     _check_compatible(L, x)
     grid = x.grid
     dxa = _left_op(convention)(grid, o, x).values
-    tvals = _scalar_series(L.d_t, grid.nodes, x.values, dxa)
+    tvals = _node_series(L.d_t, grid.nodes, x.values, dxa)
     tvals = tvals[np.isfinite(tvals)]
     if tvals.size and float(np.max(np.abs(tvals))) > tol:
         raise ValueError(
@@ -342,10 +341,10 @@ def infinitesimal_criterion_residual(
     zeta, zeta_dot, xi = _group_series(g, x)
     dxi = left(grid, o, make_trajectory(grid, xi)).values
 
-    lvals = _scalar_series(L.eval, grid.nodes, x.values, dxa)
-    tvals = _scalar_series(L.d_t, grid.nodes, x.values, dxa)
-    dgx = _vector_series(L.d_x, grid, x.values, dxa, L.dim)
-    p = _vector_series(L.d_v, grid, x.values, dxa, L.dim)
+    lvals = _node_series(L.eval, grid.nodes, x.values, dxa)
+    tvals = _node_series(L.d_t, grid.nodes, x.values, dxa)
+    dgx = _node_series(L.d_x, grid.nodes, x.values, dxa, L.dim)
+    p = _node_series(L.d_v, grid.nodes, x.values, dxa, L.dim)
 
     factor = o.alpha if ce_alpha_factor else 1.0
     series = (
@@ -386,8 +385,8 @@ def weak_theorem_residual(
     zeta, _, xi = _group_series(g, x)
     dxi = left(grid, o, make_trajectory(grid, xi)).values
 
-    lvals = _scalar_series(L.eval, grid.nodes, x.values, dxa)
-    p = _vector_series(L.d_v, grid, x.values, dxa, L.dim)
+    lvals = _node_series(L.eval, grid.nodes, x.values, dxa)
+    p = _node_series(L.d_v, grid.nodes, x.values, dxa, L.dim)
     p_rows = np.all(np.isfinite(p), axis=1)
     dbp = rl_right(grid, o, make_trajectory(grid, p, mask=p_rows)).values
 

@@ -37,7 +37,6 @@ from .fracops import (
     Grid,
     Trajectory,
     _order,
-    left_integral_matrix,
     make_trajectory,
     right_integral_matrix,
 )
@@ -148,12 +147,13 @@ def _integral_product(grid: Grid, o: FractionalOrder) -> np.ndarray:
 
     with T the full Toeplitz matrix of t, whose rows obey C[0] = t[0]*t
     and C[i, j] = C[i-1, j-1] + t[i]*t[j].  Row 0 is exactly zero.  The
-    last column is L @ R[:, N]; R is reduced to that column before L is
-    built, so at most two N x N arrays are alive at once.
+    last column is L @ R[:, N].  The weights are filled once: R is the
+    read-only flipped view from ``right_integral_matrix`` and L is its flip
+    back, so K is the only other N x N array.
     """
     n = grid.n_nodes
-    r_last = right_integral_matrix(grid, o).entries[:, n - 1].copy()
-    left = left_integral_matrix(grid, o).entries
+    right = right_integral_matrix(grid, o)
+    left = np.flip(right)
     t = left[n - 1, ::-1].copy()
     t[n - 1] = 0.0
     k = np.empty((n, n))
@@ -165,7 +165,9 @@ def _integral_product(grid: Grid, o: FractionalOrder) -> np.ndarray:
         np.multiply(t, left[i, 0], out=k[i])
         k[i] += c
         c += t[i] * t
-    k[:, n - 1] = left @ r_last
+    # numpy multiplies by a strided column along another path than by a
+    # contiguous one, with different rounding; the copy keeps the BLAS path
+    k[:, n - 1] = left @ right[:, n - 1].copy()
     return k
 
 

@@ -11,9 +11,11 @@ test invariance of an action functional.
 Checks report rather than raise: each returns a CheckReport carrying the
 worst observed violation, the sample count, and a short description of
 what was compared; ``passed`` reflects the tolerance handed to the
-check.  Exceptions are reserved for unusable inputs, e.g. a time map
-that is not increasing on the interval (so no transformed grid exists)
-or a partially defined trajectory.
+check.  Violations are folded with ``np.maximum``, so a NaN sample (a
+time map or action that could not be evaluated) becomes the reported
+violation and fails the check.  Exceptions are reserved for unusable
+inputs, e.g. a time map that is not increasing on the interval (so no
+transformed grid exists) or a partially defined trajectory.
 
 Group closures must be pure functions; every check is re-entrant and
 evaluates its parameter samples independently, so callers may fan
@@ -46,8 +48,8 @@ from .fracops import Trajectory, _order, caputo_left, make_grid, make_trajectory
 from .lagrangian import (
     LagrangianSpec,
     _check_compatible,
+    _node_series,
     _require_defined,
-    _scalar_series,
 )
 
 DEFAULT_S_SAMPLES = (-0.5, -0.1, 0.1, 0.5)
@@ -278,12 +280,12 @@ def check_group_law(
         for sp in s_arr:
             direct = _time_map(g, s + sp, t_arr)
             composed = np.array([float(g.phi0(s, g.phi0(sp, t))) for t in t_arr])
-            worst = max(worst, float(np.max(np.abs(direct - composed))))
+            worst = np.maximum(worst, np.max(np.abs(direct - composed)))
             if affine:
                 b_direct = float(g.beta(s + sp))
                 b_law = math.exp(g.lam * s) * float(g.beta(sp)) + float(g.beta(s))
-                worst = max(worst, abs(b_direct - b_law))
-                worst = max(
+                worst = np.maximum(worst, abs(b_direct - b_law))
+                worst = np.maximum(
                     worst,
                     abs(slopes[float(s + sp)] - slopes[float(s)] * slopes[float(sp)]),
                 )
@@ -306,9 +308,9 @@ def check_admissible(
     for s in s_arr:
         vals = _time_map(g, s, t_arr)
         coeffs = np.polyfit(t_arr, vals, 1)
-        worst = max(worst, float(np.max(np.abs(vals - np.polyval(coeffs, t_arr)))))
+        worst = np.maximum(worst, np.max(np.abs(vals - np.polyval(coeffs, t_arr))))
         if g.lam is not None:
-            worst = max(worst, abs(float(coeffs[0]) - math.exp(g.lam * s)))
+            worst = np.maximum(worst, abs(float(coeffs[0]) - math.exp(g.lam * s)))
     slope_note = ", slope vs e^(lam s)" if g.lam is not None else ""
     context = f"affine fit deviation{slope_note} at {s_arr.size} parameters"
     return _report(worst, tol, s_arr.size * t_arr.size, context)
@@ -324,8 +326,8 @@ def check_localization(
     s_arr = _s_array(s_samples)
     t_arr = _t_array(t_samples, lo=a, hi=a + 1.0)
 
-    endpoint = max(abs(float(g.phi0(s, a)) - a) for s in s_arr)
-    if endpoint > tol:
+    endpoint = np.max([abs(float(g.phi0(s, a)) - a) for s in s_arr])
+    if not endpoint <= tol:  # a NaN base point counts as moved
         return _report(
             endpoint,
             tol,
@@ -341,7 +343,7 @@ def check_localization(
             else _fitted_slope(g, float(s), t_arr)
         )
         vals = _time_map(g, s, t_arr)
-        worst = max(worst, float(np.max(np.abs(vals - (k * (t_arr - a) + a)))))
+        worst = np.maximum(worst, np.max(np.abs(vals - (k * (t_arr - a) + a))))
     context = f"base point fixed; dilation form about a = {a:g} verified"
     return _report(worst, tol, s_arr.size * t_arr.size, context)
 
@@ -418,7 +420,7 @@ def check_invariance(
 
     dx = caputo_left(grid, o, x).values
     reference = float(
-        np.trapezoid(_scalar_series(L.eval, grid.nodes, x.values, dx), dx=grid.h)
+        np.trapezoid(_node_series(L.eval, grid.nodes, x.values, dx), dx=grid.h)
     )
 
     worst = 0.0
@@ -436,7 +438,7 @@ def check_invariance(
             dz = caputo_left(z.grid, o, z).values
             transformed = float(
                 np.trapezoid(
-                    _scalar_series(L.eval, z.grid.nodes, z.values, dz),
+                    _node_series(L.eval, z.grid.nodes, z.values, dz),
                     dx=z.grid.h,
                 )
             )
@@ -445,9 +447,10 @@ def check_invariance(
             times = _time_map(g, s, grid.nodes)
             dy = caputo_left(grid, o, make_trajectory(grid, y_vals)).values
             scaled = dy * k_factor ** (-o.alpha)
-            series = _scalar_series(L.eval, times, y_vals, scaled) * k_factor
+            series = _node_series(L.eval, times, y_vals, scaled) * k_factor
             transformed = float(np.trapezoid(series, dx=grid.h))
-        worst = max(worst, abs(transformed - reference) / (abs(reference) + 1.0))
+        gap = abs(transformed - reference) / (abs(reference) + 1.0)
+        worst = np.maximum(worst, gap)
 
     mode = "fixed base point" if fixed_base else "transformed base point"
     context = f"{mode}; reference action {reference:.6g}; alpha = {o.alpha:g}"

@@ -79,10 +79,10 @@ def test_criterion_01_operator_exactness():
         grid = F.make_grid(0.0, 1.0, 64)
         vals = np.full((grid.n_nodes, 1), constant)
         scale = constant / math.gamma(alpha + 1.0)
-        left = F.left_integral_matrix(grid, order).entries @ vals[:, 0]
+        left = F.left_integral_matrix(grid, order) @ vals[:, 0]
         want = scale * (grid.nodes - grid.a) ** alpha
         worst = max(worst, np.max(np.abs(left - want)) / np.max(np.abs(want)))
-        right = F.right_integral_matrix(grid, order).entries @ vals[:, 0]
+        right = F.right_integral_matrix(grid, order) @ vals[:, 0]
         want = scale * (grid.b - grid.nodes) ** alpha
         worst = max(worst, np.max(np.abs(right - want)) / np.max(np.abs(want)))
     report(1, worst <= 1e-12, f"integral of a constant, relative error {worst:.3e}")
@@ -257,8 +257,8 @@ def test_criterion_11_cli_contract(tmp_path):
     grid = F.make_grid(0.0, 1.0, 2)
     order = F.FractionalOrder(0.5)
     K = (
-        F.left_integral_matrix(grid, order).entries
-        @ F.right_integral_matrix(grid, order).entries
+        F.left_integral_matrix(grid, order)
+        @ F.right_integral_matrix(grid, order)
     )
     shape = SV.boundary_shape(grid, order)
     kappa = 1.0 / (K[1, 1] - shape[1] * K[2, 1])

@@ -361,8 +361,8 @@ class TestExitCodes:
         grid = F.make_grid(0.0, 1.0, 2)
         order = F.FractionalOrder(0.5)
         K = (
-            F.left_integral_matrix(grid, order).entries
-            @ F.right_integral_matrix(grid, order).entries
+            F.left_integral_matrix(grid, order)
+            @ F.right_integral_matrix(grid, order)
         )
         shape = SV.boundary_shape(grid, order)
         kappa = 1.0 / (K[1, 1] - shape[1] * K[2, 1])

@@ -93,7 +93,7 @@ class TestIntegralMatrices:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_left_constant_exactness(self, alpha):
         g = grid01()
-        y = F.left_integral_matrix(g, alpha).apply(np.full(g.n_nodes, 3.0))
+        y = F.left_integral_matrix(g, alpha) @ np.full(g.n_nodes, 3.0)
         exact = 3.0 * g.nodes ** alpha / math.gamma(1.0 + alpha)
         rel = np.abs(y[1:] - exact[1:]) / np.abs(exact[1:])
         assert np.max(rel) < 1e-12
@@ -101,7 +101,7 @@ class TestIntegralMatrices:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_right_constant_exactness(self, alpha):
         g = grid01()
-        y = F.right_integral_matrix(g, alpha).apply(np.full(g.n_nodes, 3.0))
+        y = F.right_integral_matrix(g, alpha) @ np.full(g.n_nodes, 3.0)
         exact = 3.0 * (g.b - g.nodes) ** alpha / math.gamma(1.0 + alpha)
         rel = np.abs(y[:-1] - exact[:-1]) / np.abs(exact[:-1])
         assert np.max(rel) < 1e-12
@@ -109,8 +109,8 @@ class TestIntegralMatrices:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_structure_and_sign(self, alpha):
         g = grid01(16)
-        a_l = F.left_integral_matrix(g, alpha).entries
-        a_r = F.right_integral_matrix(g, alpha).entries
+        a_l = F.left_integral_matrix(g, alpha)
+        a_r = F.right_integral_matrix(g, alpha)
         assert np.all(a_l[0] == 0.0)
         assert np.all(a_r[-1] == 0.0)
         assert np.all(a_l >= 0.0) and np.all(a_r >= 0.0)
@@ -121,18 +121,28 @@ class TestIntegralMatrices:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_right_is_flipped_left_bitwise(self, alpha):
         g = grid01(32)
-        a_l = F.left_integral_matrix(g, alpha).entries
-        a_r = F.right_integral_matrix(g, alpha).entries
+        a_l = F.left_integral_matrix(g, alpha)
+        a_r = F.right_integral_matrix(g, alpha)
         assert np.array_equal(a_r, np.flip(a_l))
+
+    def test_matrices_are_read_only(self):
+        g = grid01(8)
+        left = F.left_integral_matrix(g, 0.5)
+        right = F.right_integral_matrix(g, 0.5)
+        assert not left.flags.writeable and not right.flags.writeable
+        # the right matrix is a view, not a second fill or copy
+        assert not right.flags.owndata
+        with pytest.raises(ValueError):
+            right[1, 1] = 0.0
 
     def test_alpha_one_is_trapezoid_exact_on_affine(self):
         g = grid01(16)
-        y = F.left_integral_matrix(g, 1.0).apply(g.nodes)
+        y = F.left_integral_matrix(g, 1.0) @ g.nodes
         assert np.max(np.abs(y - g.nodes ** 2 / 2.0)) < 1e-15
 
     def test_alpha_one_right_integral_of_one(self):
         g = grid01(16)
-        y = F.right_integral_matrix(g, 1.0).apply(np.ones(g.n_nodes))
+        y = F.right_integral_matrix(g, 1.0) @ np.ones(g.n_nodes)
         assert np.max(np.abs(y - (1.0 - g.nodes))) < 1e-15
 
     def test_half_order_integral_of_t_converges(self):
@@ -141,7 +151,7 @@ class TestIntegralMatrices:
         errs = []
         for n in (64, 128, 256):
             g = grid01(n)
-            errs.append(abs(F.left_integral_matrix(g, 0.5).apply(g.nodes)[-1] - target))
+            errs.append(abs((F.left_integral_matrix(g, 0.5) @ g.nodes)[-1] - target))
         assert errs[0] > errs[1] > errs[2]
         assert errs[-1] < 1e-4
 
@@ -309,7 +319,7 @@ class TestOperatorProperties:
             y = rng.standard_normal(g.n_nodes)
             c1, c2 = rng.standard_normal(2)
             for apply in (
-                F.left_integral_matrix(g, alpha).apply,
+                lambda v: F.left_integral_matrix(g, alpha) @ v,
                 lambda v: _derivative_values(F.caputo_left, g, alpha, v),
                 lambda v: _derivative_values(F.caputo_right, g, alpha, v),
             ):
@@ -326,7 +336,7 @@ class TestOperatorProperties:
         bumped[25] += 1.0
         m = F.left_integral_matrix(g, 0.5)
         for apply, untouched in (
-            (m.apply, slice(None, 25)),  # nodes strictly left of the bump
+            (lambda v: m @ v, slice(None, 25)),  # nodes strictly left of the bump
             (lambda v: _derivative_values(F.caputo_left, g, 0.5, v), slice(None, 25)),
             (lambda v: _derivative_values(F.caputo_right, g, 0.5, v), slice(26, None)),
         ):
@@ -336,10 +346,10 @@ class TestOperatorProperties:
     def test_alpha_to_one_continuity_of_integral(self):
         g = grid01(50)
         x = np.cos(g.nodes)
-        ref = F.left_integral_matrix(g, 1.0).apply(x)
+        ref = F.left_integral_matrix(g, 1.0) @ x
         gaps = []
         for eps in (1e-2, 1e-4, 1e-6):
-            y = F.left_integral_matrix(g, 1.0 - eps).apply(x)
+            y = F.left_integral_matrix(g, 1.0 - eps) @ x
             gaps.append(np.max(np.abs(y - ref)))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[-1] < 1e-5

@@ -328,6 +328,41 @@ class TestOscillatorQuantity:
             NO.oscillator_quantity(u, -1.0, 0.5)
 
 
+def extension_criterion(E, g, x, alpha):
+    """The invariance criterion read off the autonomous extension E on the
+    slice w = 1: zeta dL~/dt + xi . dL~/dx + zeta-dot dL~/dw + D[xi] . dL~/dv,
+    with D the left Caputo derivative of order alpha."""
+    grid = x.grid
+    v = F.caputo_left(grid, alpha, x).values
+    zeta = np.array([g.zeta(t) for t in grid.nodes])
+    zeta_dot = np.gradient(zeta, grid.h, edge_order=2)
+    xi = np.array([g.xi(row) for row in x.values])
+    dxi = F.caputo_left(grid, alpha, F.make_trajectory(grid, xi)).values
+    out = np.empty(grid.n_nodes)
+    for k, t in enumerate(grid.nodes):
+        at = (t, t, x.values[k], 1.0, v[k])
+        out[k] = (
+            zeta[k] * E.d_t(*at)
+            + xi[k] @ E.d_x(*at)
+            + zeta_dot[k] * E.d_w(*at)
+            + dxi[k] @ E.d_v(*at)
+        )
+    return out
+
+
+def _criterion_case(name, alpha):
+    grid = F.make_grid(0.0, 1.0, 64)
+    if name.startswith("example2"):
+        # rotation is no symmetry of example 2, so its xi and D[xi] terms
+        # do not cancel (under kappa they cancel by isotropy)
+        g = SY.dilation(-1.0) if name == "example2-dilation" else SY.space_rotation()
+        return PR.example2_lagrangian(alpha), g, PR.example2_trajectory(grid)
+    values = np.column_stack([1.0 + grid.nodes, np.sin(2.0 * grid.nodes)])
+    x = F.make_trajectory(grid, values)
+    g = SY.space_rotation() if name == "kappa-rotation" else SY.quadratic_time()
+    return PR.kappa_lagrangian(-1.0, dim=2), g, x
+
+
 class TestInfinitesimalCriterion:
     def test_autonomous_translation_is_exactly_zero(self):
         # zeta-dot, xi, and dL/dt all vanish identically
@@ -379,6 +414,31 @@ class TestInfinitesimalCriterion:
             L, SY.time_translation(), x, 0.5, ce_alpha_factor=False
         )
         assert "unweighted" in r2.context
+
+
+    @pytest.mark.parametrize("alpha", (0.4, 0.75, 1.0))
+    @pytest.mark.parametrize("weighted", (True, False))
+    @pytest.mark.parametrize(
+        "case",
+        (
+            "example2-dilation",
+            "example2-rotation",
+            "kappa-rotation",
+            "kappa-quadratic-time",
+        ),
+    )
+    def test_matches_jost_extension(self, case, weighted, alpha):
+        # the weighted criterion is the extension of order alpha; the
+        # unweighted one is the extension of order 1 (w-slot L - v . dL/dv)
+        L, g, x = _criterion_case(case, alpha)
+        E = LG.extend(L, alpha if weighted else 1.0)
+        oracle = extension_criterion(E, g, x, alpha)
+        r = NO.infinitesimal_criterion_residual(
+            L, g, x, alpha, ce_alpha_factor=weighted
+        )
+        assert np.all(r.mask)
+        scale = max(1.0, float(np.max(np.abs(oracle))))
+        assert np.max(np.abs(r.values - oracle)) <= 1e-13 * scale
 
 
 class TestWeakTheoremResidual:

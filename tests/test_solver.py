@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracnoether import _kernels
 from fracnoether import fracops as F
 from fracnoether import lagrangian as Lmod
 from fracnoether import solver as S
@@ -105,8 +106,8 @@ class TestAssemble:
         alpha = 0.5
         system = S.assemble(harmonic_problem(40, alpha))
         k_mat = (
-            F.left_integral_matrix(grid, alpha).entries
-            @ F.right_integral_matrix(grid, alpha).entries
+            F.left_integral_matrix(grid, alpha)
+            @ F.right_integral_matrix(grid, alpha)
         )
         s = S.boundary_shape(grid, alpha)
         rng = np.random.default_rng(7)
@@ -131,8 +132,8 @@ class TestAssemble:
         grid = F.make_grid(a, a + length, n_sub)
         order = F.FractionalOrder(alpha)
         dense = (
-            F.left_integral_matrix(grid, order).entries
-            @ F.right_integral_matrix(grid, order).entries
+            F.left_integral_matrix(grid, order)
+            @ F.right_integral_matrix(grid, order)
         )
         k_mat = S._integral_product(grid, order)
         assert np.max(np.abs(k_mat - dense)) <= 1e-13 * np.max(np.abs(dense))
@@ -167,6 +168,26 @@ class TestAssemble:
         finally:
             tracemalloc.stop()
         assert peak <= 2.1 * 8 * grid.n_nodes**2
+
+    @pytest.mark.parametrize(
+        "bc",
+        [S.dirichlet((1.0, 2.0), (2.0, 1.0)), S.initial((0.0, 1.0), (1.0, 0.0))],
+        ids=["dirichlet", "initial"],
+    )
+    def test_one_weight_fill_per_assemble(self, bc, monkeypatch):
+        # the right integral matrix is a flipped view of the left one, and
+        # the left one is that view flipped back: one dense fill in total
+        fills = []
+        integral_weights = _kernels.integral_weights
+
+        def counted(*args):
+            fills.append(args)
+            return integral_weights(*args)
+
+        monkeypatch.setattr(_kernels, "integral_weights", counted)
+        grid = F.make_grid(0.0, 1.0, 50)
+        S.assemble(S.LinearProblem(grid=grid, alpha=0.5, dim=2, kappa=-1.0, bc=bc))
+        assert len(fills) == 1
 
     def test_dirichlet_rows_pinned(self):
         system = S.assemble(harmonic_problem(16, 0.5))
@@ -412,8 +433,8 @@ class TestNumericalFailure:
         # reciprocal makes the matrix exactly singular
         grid = F.make_grid(0.0, 1.0, 2)
         k_mat = (
-            F.left_integral_matrix(grid, 0.5).entries
-            @ F.right_integral_matrix(grid, 0.5).entries
+            F.left_integral_matrix(grid, 0.5)
+            @ F.right_integral_matrix(grid, 0.5)
         )
         s = S.boundary_shape(grid, 0.5)
         kappa_star = 1.0 / (k_mat[1, 1] - s[1] * k_mat[2, 1])

@@ -7,6 +7,7 @@ import pytest
 
 from fracnoether import fracops as F
 from fracnoether import lagrangian as Lmod
+from fracnoether import presets as P
 from fracnoether import symmetry as G
 
 # analytic value of both chain-rule sides for the dilation group with
@@ -329,3 +330,59 @@ class TestInvariance:
             s_samples=[-0.2, 0.1, 0.3],
         )
         assert report.samples == 3
+
+
+def nan_time_map(bad_s, base_ok=False):
+    """Identity time map except at parameter ``bad_s``, where it is NaN
+    (at every t, or at every t but 0 when ``base_ok``)."""
+
+    def phi0(s, t):
+        if s == bad_s and not (base_ok and t == 0.0):
+            return math.nan
+        return t
+
+    return G.GroupSpec(
+        phi0=phi0,
+        phi1=lambda s, x: np.asarray(x, dtype=float),
+        zeta=lambda t: 0.0,
+        xi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+    )
+
+
+class TestNaNViolations:
+    """A NaN sample must surface as the violation and fail the check, not
+    be dropped by the fold over samples."""
+
+    @pytest.mark.parametrize("fixed_base", [False, True])
+    def test_invariance_nan_action_fails(self, fixed_base):
+        # example 2 is NaN at negative velocities; x1 = 1 - t has D^alpha < 0
+        grid = F.make_grid(0.0, 1.0, 64)
+        values = np.column_stack([1.0 - grid.nodes, grid.nodes**2])
+        x = F.make_trajectory(grid, values)
+        report = G.check_invariance(
+            P.example2_lagrangian(0.6), G.dilation(-1.0), x, 0.6, fixed_base=fixed_base
+        )
+        assert not report.passed
+        assert math.isnan(report.max_violation)
+
+    def test_group_law_nan_time_map_fails(self):
+        report = G.check_group_law(nan_time_map(0.1))
+        assert not report.passed
+        assert math.isnan(report.max_violation)
+
+    def test_admissible_nan_time_map_fails(self):
+        report = G.check_admissible(nan_time_map(0.1))
+        assert not report.passed
+        assert math.isnan(report.max_violation)
+
+    def test_localization_nan_base_point_fails(self):
+        # the NaN sample comes after finite ones, where max() would keep 0
+        report = G.check_localization(nan_time_map(0.1), 0.0)
+        assert not report.passed
+        assert math.isnan(report.max_violation)
+        assert report.context.startswith("base point moves")
+
+    def test_localization_nan_off_base_point_fails(self):
+        report = G.check_localization(nan_time_map(0.1, base_ok=True), 0.0)
+        assert not report.passed
+        assert math.isnan(report.max_violation)

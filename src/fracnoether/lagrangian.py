@@ -8,14 +8,15 @@ configuration space, the pair of Euler-Lagrange residuals of the extended
 problem restricted to w = 1, and the "second Euler-Lagrange" node series
 L - D^alpha x . dL/dv whose constancy is probed by the conservation checks.
 
-Evaluator convention: ``t`` is a scalar, ``x`` and ``v`` are 1-D arrays of
-length ``dim``; ``eval``/``d_t`` return scalars, ``d_x``/``d_v`` return
-length-``dim`` vectors.  Evaluators must be pure functions.
+Evaluator contract: each evaluator is called once per series on node
+arrays, component axis last: ``t`` of shape (M,), ``x`` and ``v`` of shape
+(M, dim).  ``eval``/``d_t`` return (M,), ``d_x``/``d_v`` (M, dim), and a 0-d
+result broadcasts.  Indexed as ``x[..., i]``, an evaluator also works on one
+node, as every batch is cross-checked.  Evaluators must be pure functions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,33 +46,33 @@ class LagrangianSpec:
     d_v: Callable = field(repr=False)
 
 
+def _fd_partials(diff, t, steps):
+    """Central differences diff(e) / (2 step) over the rows e of ``steps``,
+    stacked along a last component axis; a 0-d difference broadcasts to
+    the node shape of ``t``."""
+    cols = np.broadcast_arrays(t, *(diff(e) for e in steps))[1:]
+    return np.stack(cols, axis=-1) / (2.0 * _FD_STEP)
+
+
 def make_lagrangian(dim, eval, d_t=None, d_x=None, d_v=None) -> LagrangianSpec:
     """Build a LagrangianSpec; missing partials fall back to central finite
     differences of ``eval`` with step 1e-6."""
     if dim < 1:
         raise ValueError("dim must be positive")
 
+    steps = _FD_STEP * np.eye(dim)
+
     if d_t is None:
         def d_t(t, x, v, _f=eval):
             return (_f(t + _FD_STEP, x, v) - _f(t - _FD_STEP, x, v)) / (2.0 * _FD_STEP)
 
     if d_x is None:
-        def d_x(t, x, v, _f=eval, _n=dim):
-            out = np.empty(_n)
-            for i in range(_n):
-                e = np.zeros(_n)
-                e[i] = _FD_STEP
-                out[i] = (_f(t, x + e, v) - _f(t, x - e, v)) / (2.0 * _FD_STEP)
-            return out
+        def d_x(t, x, v, _f=eval):
+            return _fd_partials(lambda e: _f(t, x + e, v) - _f(t, x - e, v), t, steps)
 
     if d_v is None:
-        def d_v(t, x, v, _f=eval, _n=dim):
-            out = np.empty(_n)
-            for i in range(_n):
-                e = np.zeros(_n)
-                e[i] = _FD_STEP
-                out[i] = (_f(t, x, v + e) - _f(t, x, v - e)) / (2.0 * _FD_STEP)
-            return out
+        def d_v(t, x, v, _f=eval):
+            return _fd_partials(lambda e: _f(t, x, v + e) - _f(t, x, v - e), t, steps)
 
     return LagrangianSpec(dim=int(dim), eval=eval, d_t=d_t, d_x=d_x, d_v=d_v)
 
@@ -121,7 +122,8 @@ def make_series(grid: Grid, values, mask=None, context: str = "") -> QuantitySer
 @dataclass(frozen=True)
 class ExtendedLagrangianSpec:
     """Autonomous extension of a Lagrangian to the (t, x) configuration space
-    with velocities (w, v): L~ = L(t, x, v / w**alpha) * w, for w > 0."""
+    with velocities (w, v): L~ = L(t, x, v / w**alpha) * w, for w > 0.
+    ``t``, ``x`` and ``v`` follow the evaluator contract; ``w`` is a scalar."""
 
     base: LagrangianSpec
     alpha: FractionalOrder
@@ -136,11 +138,11 @@ class ExtendedLagrangianSpec:
     def _inner(self, w, v):
         return np.asarray(v, dtype=float) / w ** self.alpha.alpha
 
-    def eval(self, tau, t, x, w, v) -> float:
+    def eval(self, tau, t, x, w, v):
         w = self._check_w(w)
         return self.base.eval(t, x, self._inner(w, v)) * w
 
-    def d_t(self, tau, t, x, w, v) -> float:
+    def d_t(self, tau, t, x, w, v):
         w = self._check_w(w)
         return self.base.d_t(t, x, self._inner(w, v)) * w
 
@@ -154,11 +156,11 @@ class ExtendedLagrangianSpec:
             self.base.d_v(t, x, self._inner(w, v))
         )
 
-    def d_w(self, tau, t, x, w, v) -> float:
+    def d_w(self, tau, t, x, w, v):
         w = self._check_w(w)
         u = self._inner(w, v)
-        return self.base.eval(t, x, u) - self.alpha.alpha * float(
-            np.dot(u, np.asarray(self.base.d_v(t, x, u)))
+        return self.base.eval(t, x, u) - self.alpha.alpha * np.vecdot(
+            u, self.base.d_v(t, x, u)
         )
 
 
@@ -187,11 +189,35 @@ def _require_defined(x: Trajectory, what: str) -> None:
         raise ValueError(f"{what} requires a fully defined trajectory")
 
 
-def _node_series(fn, times, xvals, vvals, dim=None):
-    """Sample an evaluator at each node time: shape (N+1,) for a scalar one
-    (eval, d_t), (N+1, dim) for a vector one (d_x, d_v)."""
-    out = np.array([fn(t, x, v) for t, x, v in zip(times, xvals, vvals)], dtype=float)
-    return out.reshape((len(times),) if dim is None else (len(times), dim))
+def _as_series(value, shape, what):
+    """``value`` as a float array of ``shape``; a 0-d value broadcasts and
+    any other shape raises ValueError starting with ``what``."""
+    out = np.asarray(value, dtype=float)
+    if out.ndim == 0:
+        return np.full(shape, out)
+    if out.shape != shape:
+        raise ValueError(f"{what}: expected shape {shape} or 0-d, got {out.shape}")
+    return out
+
+
+def _node_series(L: LagrangianSpec, name: str, times, xvals, vvals):
+    """``L.<name>`` on all nodes in one call: (N+1,) for eval and d_t,
+    (N+1, dim) for d_x and d_v.  A batch that disagrees with a call on its
+    last node alone (relative 1e-12, NaN matching NaN) comes from an
+    evaluator indexing nodes as components (``v[0]``), and raises."""
+    fn = getattr(L, name)
+    shape = (len(times),) if name in ("eval", "d_t") else (len(times), L.dim)
+    label = f"Lagrangian {name} evaluator {getattr(fn, '__qualname__', fn)!r}"
+    out = _as_series(fn(times, xvals, vvals), shape, label)
+    one = np.asarray(fn(times[-1], xvals[-1], vvals[-1]), dtype=float)
+    if one.shape not in ((), shape[1:]) or not np.allclose(
+        out[-1], one, rtol=1e-12, atol=0.0, equal_nan=True
+    ):
+        raise ValueError(
+            f"{label}: batch disagrees with a call on its last node; "
+            "evaluators take node arrays and index components as x[..., i]"
+        )
+    return out
 
 
 def action(L: LagrangianSpec, x: Trajectory, alpha) -> float:
@@ -200,7 +226,7 @@ def action(L: LagrangianSpec, x: Trajectory, alpha) -> float:
     _check_compatible(L, x)
     grid = x.grid
     v = caputo_left(grid, o, x)
-    f = _node_series(L.eval, grid.nodes, x.values, v.values)
+    f = _node_series(L, "eval", grid.nodes, x.values, v.values)
     if not np.all(np.isfinite(f)):
         k = int(np.argmin(np.isfinite(f)))
         raise ValueError(f"non-finite action integrand at node {k}")
@@ -218,11 +244,9 @@ def el_residual(L: LagrangianSpec, x: Trajectory, alpha) -> Trajectory:
     _check_compatible(L, x)
     grid = x.grid
     v = caputo_left(grid, o, x)
-    p = make_trajectory(
-        grid, _node_series(L.d_v, grid.nodes, x.values, v.values, L.dim)
-    )
+    p = make_trajectory(grid, _node_series(L, "d_v", grid.nodes, x.values, v.values))
     dp = rl_right(grid, o, p)
-    dx = _node_series(L.d_x, grid.nodes, x.values, v.values, L.dim)
+    dx = _node_series(L, "d_x", grid.nodes, x.values, v.values)
     vals = dp.values + dx
     return make_trajectory(grid, vals, mask=dp.mask.copy())
 
@@ -238,8 +262,8 @@ def second_el_quantity(L: LagrangianSpec, x: Trajectory, alpha) -> QuantitySerie
     _check_compatible(L, x)
     grid = x.grid
     v = caputo_left(grid, o, x)
-    lvals = _node_series(L.eval, grid.nodes, x.values, v.values)
-    p = _node_series(L.d_v, grid.nodes, x.values, v.values, L.dim)
+    lvals = _node_series(L, "eval", grid.nodes, x.values, v.values)
+    p = _node_series(L, "d_v", grid.nodes, x.values, v.values)
     series = lvals - np.sum(v.values * p, axis=1)
     return make_series(grid, series)
 
@@ -264,9 +288,9 @@ def extended_el_residual(E: ExtendedLagrangianSpec, x: Trajectory, alpha_factor:
     res_a = el_residual(L, x, o)
 
     v = caputo_left(grid, o, x)
-    lvals = _node_series(L.eval, grid.nodes, x.values, v.values)
-    p = _node_series(L.d_v, grid.nodes, x.values, v.values, L.dim)
-    dt = _node_series(L.d_t, grid.nodes, x.values, v.values)
+    lvals = _node_series(L, "eval", grid.nodes, x.values, v.values)
+    p = _node_series(L, "d_v", grid.nodes, x.values, v.values)
+    dt = _node_series(L, "d_t", grid.nodes, x.values, v.values)
     factor = o.alpha if alpha_factor else 1.0
     inner = lvals - factor * np.sum(v.values * p, axis=1)
     res_b = dt - np.gradient(inner, grid.h, edge_order=2)

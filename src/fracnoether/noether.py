@@ -51,6 +51,7 @@ from .fracops import (
 from .lagrangian import (
     LagrangianSpec,
     QuantitySeries,
+    _as_series,
     _check_compatible,
     _node_series,
     _require_defined,
@@ -116,14 +117,11 @@ def _cumtrapz_masked(f: np.ndarray, fmask: np.ndarray, h: float) -> np.ndarray:
 
 def _group_series(g: GroupSpec, x: Trajectory):
     nodes = x.grid.nodes
-    zeta = np.array([float(g.zeta(t)) for t in nodes])
+    zeta = _as_series(g.zeta(nodes), nodes.shape, "zeta must return one value per node")
     zeta_dot = np.gradient(zeta, x.grid.h, edge_order=2)
-    xi = np.empty_like(x.values)
-    for k in range(x.values.shape[0]):
-        row = np.asarray(g.xi(x.values[k]), dtype=float)
-        if row.shape != (x.dim,):
-            raise ValueError("xi must return one component per configuration")
-        xi[k] = row
+    xi = _as_series(
+        g.xi(x.values), x.values.shape, "xi must return one component per configuration"
+    )
     return zeta, zeta_dot, xi
 
 
@@ -147,8 +145,8 @@ def _assemble_quantity(
     dxdot = left(grid, o, make_trajectory(grid, xdot)).values
     dxi = left(grid, o, make_trajectory(grid, xi)).values
 
-    lvals = _node_series(L.eval, grid.nodes, x.values, dxa)
-    p = _node_series(L.d_v, grid.nodes, x.values, dxa, L.dim)
+    lvals = _node_series(L, "eval", grid.nodes, x.values, dxa)
+    p = _node_series(L, "d_v", grid.nodes, x.values, dxa)
 
     shifted = xdot * zeta[:, None] - xi
     if variant == "conslaw":
@@ -159,7 +157,7 @@ def _assemble_quantity(
     elif variant == "conslaw2":
         # on stationary trajectories D_b-[dL/dv] = -dL/dx; substituting
         # removes the right derivative (and its masked node) entirely
-        dgx = _node_series(L.d_x, grid.nodes, x.values, dxa, L.dim)
+        dgx = _node_series(L, "d_x", grid.nodes, x.values, dxa)
         lead = -np.sum(dgx * shifted, axis=1)
     else:
         raise ValueError(
@@ -238,7 +236,7 @@ def autonomous_quantity(
     _check_compatible(L, x)
     grid = x.grid
     dxa = _left_op(convention)(grid, o, x).values
-    tvals = _node_series(L.d_t, grid.nodes, x.values, dxa)
+    tvals = _node_series(L, "d_t", grid.nodes, x.values, dxa)
     tvals = tvals[np.isfinite(tvals)]
     if tvals.size and float(np.max(np.abs(tvals))) > tol:
         raise ValueError(
@@ -341,10 +339,10 @@ def infinitesimal_criterion_residual(
     zeta, zeta_dot, xi = _group_series(g, x)
     dxi = left(grid, o, make_trajectory(grid, xi)).values
 
-    lvals = _node_series(L.eval, grid.nodes, x.values, dxa)
-    tvals = _node_series(L.d_t, grid.nodes, x.values, dxa)
-    dgx = _node_series(L.d_x, grid.nodes, x.values, dxa, L.dim)
-    p = _node_series(L.d_v, grid.nodes, x.values, dxa, L.dim)
+    lvals = _node_series(L, "eval", grid.nodes, x.values, dxa)
+    tvals = _node_series(L, "d_t", grid.nodes, x.values, dxa)
+    dgx = _node_series(L, "d_x", grid.nodes, x.values, dxa)
+    p = _node_series(L, "d_v", grid.nodes, x.values, dxa)
 
     factor = o.alpha if ce_alpha_factor else 1.0
     series = (
@@ -385,8 +383,8 @@ def weak_theorem_residual(
     zeta, _, xi = _group_series(g, x)
     dxi = left(grid, o, make_trajectory(grid, xi)).values
 
-    lvals = _node_series(L.eval, grid.nodes, x.values, dxa)
-    p = _node_series(L.d_v, grid.nodes, x.values, dxa, L.dim)
+    lvals = _node_series(L, "eval", grid.nodes, x.values, dxa)
+    p = _node_series(L, "d_v", grid.nodes, x.values, dxa)
     p_rows = np.all(np.isfinite(p), axis=1)
     dbp = rl_right(grid, o, make_trajectory(grid, p, mask=p_rows)).values
 

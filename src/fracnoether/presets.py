@@ -11,11 +11,13 @@ Three model problems recur throughout the package and its tests:
   its closed-form partials.
 
 The fractional powers in the last family are only real for non-negative
-arguments; ``guarded_power`` returns NaN outside that domain (and the
-conventional limits 0^0 = 1, 0^p = 0 for p > 0 on the boundary), so a
-trajectory whose derivative goes negative yields masked series entries
-downstream rather than complex garbage.  All evaluators tolerate NaN
-inputs by propagating them.
+arguments; ``guarded_power`` works elementwise on arrays and returns NaN
+outside that domain (and the conventional limits 0^0 = 1, 0^p = 0 for
+p > 0 on the boundary), so a trajectory whose derivative goes negative
+yields masked series entries downstream rather than complex garbage or
+a RuntimeWarning.  All evaluators follow the array contract of
+``lagrangian`` (component axis last, ``[..., i]`` indexing) and tolerate
+NaN inputs by propagating them.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ def kappa_lagrangian(kappa: float = -1.0, dim: int = 2) -> LagrangianSpec:
         raise ValueError("kappa must be finite")
     return make_lagrangian(
         dim,
-        eval=lambda t, x, v: 0.5 * float(np.dot(v, v))
-        - 0.5 * kappa * float(np.dot(x, x)),
+        eval=lambda t, x, v: 0.5 * np.vecdot(v, v) - 0.5 * kappa * np.vecdot(x, x),
         d_t=lambda t, x, v: 0.0,
         d_x=lambda t, x, v: -kappa * np.asarray(x, dtype=float),
         d_v=lambda t, x, v: np.asarray(v, dtype=float),
@@ -55,23 +56,23 @@ def oscillator_lagrangian(omega: float) -> LagrangianSpec:
     return kappa_lagrangian(kappa=omega * omega, dim=1)
 
 
-def guarded_power(base: float, exponent: float) -> float:
-    """base**exponent for non-negative base, NaN otherwise.
+def guarded_power(base, exponent):
+    """base**exponent elementwise for non-negative base, NaN otherwise.
 
     0**0 is taken as 1 and 0**p as 0 for p > 0, the limits the
     alpha-family's partials need; a negative base (or a negative
     exponent at 0) has no real value and maps to NaN so that downstream
-    series mask the node instead of failing.
+    series mask the node instead of failing.  NaN in gives NaN out, even
+    1**nan, which a bare power takes as 1.
     """
-    if math.isnan(base) or math.isnan(exponent):
-        return math.nan
-    if base < 0.0:
-        return math.nan
-    if base == 0.0:
-        if exponent == 0.0:
-            return 1.0
-        return 0.0 if exponent > 0.0 else math.nan
-    return math.pow(base, exponent)
+    base = np.asarray(base, dtype=float)
+    exponent = np.asarray(exponent, dtype=float)
+    positive = base > 0.0
+    # the power only sees positive bases, so no invalid-value warning escapes
+    powered = np.power(np.where(positive, base, 1.0), exponent)
+    at_zero = np.where(exponent == 0.0, 1.0, np.where(exponent > 0.0, 0.0, np.nan))
+    out = np.where(positive, powered, np.where(base == 0.0, at_zero, np.nan))
+    return np.where(np.isnan(exponent), np.nan, out)[()]
 
 
 def example2_lagrangian(alpha) -> LagrangianSpec:
@@ -87,18 +88,16 @@ def example2_lagrangian(alpha) -> LagrangianSpec:
     inv = 1.0 / a
 
     def ev(t, x, v):
-        return guarded_power(v[0], inv) * x[1] - guarded_power(v[1], inv) * x[0]
+        p = guarded_power(v, inv)
+        return p[..., 0] * x[..., 1] - p[..., 1] * x[..., 0]
 
     def d_x(t, x, v):
-        return np.array([-guarded_power(v[1], inv), guarded_power(v[0], inv)])
+        p = guarded_power(v, inv)
+        return np.stack([-p[..., 1], p[..., 0]], axis=-1)
 
     def d_v(t, x, v):
-        return np.array(
-            [
-                inv * guarded_power(v[0], inv - 1.0) * x[1],
-                -inv * guarded_power(v[1], inv - 1.0) * x[0],
-            ]
-        )
+        q = inv * guarded_power(v, inv - 1.0)
+        return np.stack([q[..., 0] * x[..., 1], -q[..., 1] * x[..., 0]], axis=-1)
 
     return make_lagrangian(
         2, eval=ev, d_t=lambda t, x, v: 0.0, d_x=d_x, d_v=d_v

@@ -17,15 +17,17 @@ violation and fails the check.  Exceptions are reserved for unusable
 inputs, e.g. a time map that is not increasing on the interval (so no
 transformed grid exists) or a partially defined trajectory.
 
-Group closures must be pure functions; every check is re-entrant and
-evaluates its parameter samples independently, so callers may fan
-batches of checks out across threads.
+Group closures must be pure functions.
 
 Conventions
 -----------
-* ``phi0(s, t)`` and ``zeta(t)`` work on scalars; ``phi1(s, x)`` and
-  ``xi(x)`` map an n-vector to an n-vector.  The checks evaluate them
-  pointwise and never assume numpy broadcasting.
+* The parameter ``s`` is a scalar; everything else is array-valued, one
+  call per series.  ``phi0(s, t)`` and ``zeta(t)`` take an array of
+  times and return one value per time; ``phi1(s, x)`` and ``xi(x)`` take
+  an (M, n) array of configurations, component axis last, and return
+  one of the same shape.  A 0-d return (``lambda t: 0.0``) broadcasts.
+  Written with ``x[..., i]`` indexing they also work on one time or one
+  n-vector.
 * ``lam`` (with ``beta``) marks an affine time map
   phi0_s(t) = e^{lam*s} t + beta(s).  When present it is trusted for the
   dilation factor d(phi0_s)/dt = e^{lam*s}; otherwise the factor is
@@ -47,6 +49,7 @@ import numpy as np
 from .fracops import Trajectory, _order, caputo_left, make_grid, make_trajectory
 from .lagrangian import (
     LagrangianSpec,
+    _as_series,
     _check_compatible,
     _node_series,
     _require_defined,
@@ -152,16 +155,18 @@ def space_rotation() -> GroupSpec:
 
     def rotate(s, x):
         x = np.asarray(x, dtype=float)
-        if x.shape != (2,):
+        if x.shape[-1:] != (2,):
             raise ValueError("space_rotation acts on 2-vectors")
         c, sn = math.cos(s), math.sin(s)
-        return np.array([c * x[0] - sn * x[1], sn * x[0] + c * x[1]])
+        return np.stack(
+            [c * x[..., 0] - sn * x[..., 1], sn * x[..., 0] + c * x[..., 1]], axis=-1
+        )
 
     return GroupSpec(
         phi0=lambda s, t: t,
         phi1=rotate,
         zeta=lambda t: 0.0,
-        xi=lambda x: np.array([-x[1], x[0]], dtype=float),
+        xi=lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
         lam=0.0,
         beta=lambda s: 0.0,
     )
@@ -204,7 +209,7 @@ def _t_array(t_samples, lo=0.0, hi=1.0) -> np.ndarray:
 
 
 def _time_map(g: GroupSpec, s: float, t_arr: np.ndarray) -> np.ndarray:
-    return np.array([float(g.phi0(s, t)) for t in t_arr])
+    return _as_series(g.phi0(s, t_arr), t_arr.shape, "phi0 must return one value per time")
 
 
 def _fitted_slope(g: GroupSpec, s: float, t_arr: np.ndarray) -> float:
@@ -223,13 +228,9 @@ def dilation_factor(g: GroupSpec, s: float, t_ref: float) -> float:
 
 
 def _space_map(g: GroupSpec, s: float, values: np.ndarray) -> np.ndarray:
-    out = np.empty_like(values)
-    for k in range(values.shape[0]):
-        row = np.asarray(g.phi1(s, values[k]), dtype=float)
-        if row.shape != (values.shape[1],):
-            raise ValueError("phi1 must preserve the component count")
-        out[k] = row
-    return out
+    return _as_series(
+        g.phi1(s, values), values.shape, "phi1 must preserve the component count"
+    )
 
 
 def _resample(
@@ -279,7 +280,7 @@ def check_group_law(
     for s in s_arr:
         for sp in s_arr:
             direct = _time_map(g, s + sp, t_arr)
-            composed = np.array([float(g.phi0(s, g.phi0(sp, t))) for t in t_arr])
+            composed = _time_map(g, s, _time_map(g, sp, t_arr))
             worst = np.maximum(worst, np.max(np.abs(direct - composed)))
             if affine:
                 b_direct = float(g.beta(s + sp))
@@ -420,7 +421,7 @@ def check_invariance(
 
     dx = caputo_left(grid, o, x).values
     reference = float(
-        np.trapezoid(_node_series(L.eval, grid.nodes, x.values, dx), dx=grid.h)
+        np.trapezoid(_node_series(L, "eval", grid.nodes, x.values, dx), dx=grid.h)
     )
 
     worst = 0.0
@@ -438,7 +439,7 @@ def check_invariance(
             dz = caputo_left(z.grid, o, z).values
             transformed = float(
                 np.trapezoid(
-                    _node_series(L.eval, z.grid.nodes, z.values, dz),
+                    _node_series(L, "eval", z.grid.nodes, z.values, dz),
                     dx=z.grid.h,
                 )
             )
@@ -447,7 +448,7 @@ def check_invariance(
             times = _time_map(g, s, grid.nodes)
             dy = caputo_left(grid, o, make_trajectory(grid, y_vals)).values
             scaled = dy * k_factor ** (-o.alpha)
-            series = _node_series(L.eval, times, y_vals, scaled) * k_factor
+            series = _node_series(L, "eval", times, y_vals, scaled) * k_factor
             transformed = float(np.trapezoid(series, dx=grid.h))
         gap = abs(transformed - reference) / (abs(reference) + 1.0)
         worst = np.maximum(worst, gap)

@@ -200,10 +200,10 @@ def test_criterion_10_classification_matrix():
     x = F.make_trajectory(grid, ((grid.nodes - a) ** 2)[:, None])
     invariant_L = LG.make_lagrangian(
         1,
-        lambda t, xv, v: (t - a) * float(v @ v),
-        d_t=lambda t, xv, v: float(v @ v),
-        d_x=lambda t, xv, v: np.zeros(1),
-        d_v=lambda t, xv, v: 2.0 * (t - a) * v,
+        lambda t, xv, v: (t - a) * np.vecdot(v, v),
+        d_t=lambda t, xv, v: np.vecdot(v, v),
+        d_x=lambda t, xv, v: np.zeros_like(xv),
+        d_v=lambda t, xv, v: 2.0 * np.asarray(t - a)[..., None] * v,
     )
     autonomous_L = PR.kappa_lagrangian(-1.0, dim=1)
 

@@ -16,7 +16,7 @@ C2 = 0.3055995145103441
 def quadratic_lagrangian(dim=2):
     return Lmod.make_lagrangian(
         dim,
-        eval=lambda t, x, v: 0.5 * (np.dot(x, x) + np.dot(v, v)),
+        eval=lambda t, x, v: 0.5 * (np.vecdot(x, x) + np.vecdot(v, v)),
         d_t=lambda t, x, v: 0.0,
         d_x=lambda t, x, v: x,
         d_v=lambda t, x, v: v,
@@ -30,7 +30,8 @@ def classical_solution(nodes):
 class TestMakeLagrangian:
     def test_finite_difference_fallback_partials(self):
         L = Lmod.make_lagrangian(
-            2, eval=lambda t, x, v: math.sin(t) * x[0] * x[1] + 0.5 * np.dot(v, v)
+            2,
+            eval=lambda t, x, v: np.sin(t) * x[..., 0] * x[..., 1] + 0.5 * np.vecdot(v, v),
         )
         rng = np.random.default_rng(42)
         for _ in range(100):
@@ -83,10 +84,10 @@ class TestAction:
         target = 0.7522527780636750
         L = Lmod.make_lagrangian(
             1,
-            eval=lambda t, x, v: v[0],
+            eval=lambda t, x, v: v[..., 0],
             d_t=lambda t, x, v: 0.0,
-            d_x=lambda t, x, v: np.zeros(1),
-            d_v=lambda t, x, v: np.ones(1),
+            d_x=lambda t, x, v: np.zeros_like(x),
+            d_v=lambda t, x, v: np.ones_like(v),
         )
         errs = []
         for n in (64, 128, 256):
@@ -99,10 +100,10 @@ class TestAction:
         g = F.make_grid(0.0, 1.0, 10)
         L = Lmod.make_lagrangian(
             1,
-            eval=lambda t, x, v: 1.0 / (x[0] - 0.5),
+            eval=lambda t, x, v: 1.0 / (x[..., 0] - 0.5),
             d_t=lambda t, x, v: 0.0,
-            d_x=lambda t, x, v: np.zeros(1),
-            d_v=lambda t, x, v: np.zeros(1),
+            d_x=lambda t, x, v: np.zeros_like(x),
+            d_v=lambda t, x, v: np.zeros_like(v),
         )
         x = F.make_trajectory(g, g.nodes)  # hits x = 0.5 at node 5
         with np.errstate(divide="ignore"):

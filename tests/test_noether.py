@@ -252,10 +252,10 @@ class TestAutonomousQuantity:
     def test_rejects_time_dependent_lagrangian(self):
         L = LG.make_lagrangian(
             2,
-            lambda t, x, v: t * float(v @ v),
-            d_t=lambda t, x, v: float(v @ v),
-            d_x=lambda t, x, v: np.zeros(2),
-            d_v=lambda t, x, v: 2.0 * t * v,
+            lambda t, x, v: t * np.vecdot(v, v),
+            d_t=lambda t, x, v: np.vecdot(v, v),
+            d_x=lambda t, x, v: np.zeros_like(x),
+            d_v=lambda t, x, v: 2.0 * np.asarray(t)[..., None] * v,
         )
         x = solve_quadratic(32, 0.5)
         with pytest.raises(ValueError, match="not autonomous"):
@@ -338,16 +338,13 @@ def extension_criterion(E, g, x, alpha):
     zeta_dot = np.gradient(zeta, grid.h, edge_order=2)
     xi = np.array([g.xi(row) for row in x.values])
     dxi = F.caputo_left(grid, alpha, F.make_trajectory(grid, xi)).values
-    out = np.empty(grid.n_nodes)
-    for k, t in enumerate(grid.nodes):
-        at = (t, t, x.values[k], 1.0, v[k])
-        out[k] = (
-            zeta[k] * E.d_t(*at)
-            + xi[k] @ E.d_x(*at)
-            + zeta_dot[k] * E.d_w(*at)
-            + dxi[k] @ E.d_v(*at)
-        )
-    return out
+    at = (grid.nodes, grid.nodes, x.values, 1.0, v)
+    return (
+        zeta * E.d_t(*at)
+        + np.vecdot(xi, E.d_x(*at))
+        + zeta_dot * E.d_w(*at)
+        + np.vecdot(dxi, E.d_v(*at))
+    )
 
 
 def _criterion_case(name, alpha):
@@ -375,10 +372,10 @@ class TestInfinitesimalCriterion:
         # for L = t |v|^2 under translation the residual is |v|^2
         L = LG.make_lagrangian(
             2,
-            lambda t, x, v: t * float(v @ v),
-            d_t=lambda t, x, v: float(v @ v),
-            d_x=lambda t, x, v: np.zeros(2),
-            d_v=lambda t, x, v: 2.0 * t * v,
+            lambda t, x, v: t * np.vecdot(v, v),
+            d_t=lambda t, x, v: np.vecdot(v, v),
+            d_x=lambda t, x, v: np.zeros_like(x),
+            d_v=lambda t, x, v: 2.0 * np.asarray(t)[..., None] * v,
         )
         grid = F.make_grid(0.0, 1.0, 64)
         x = F.make_trajectory(grid, np.column_stack([grid.nodes, grid.nodes**2]))

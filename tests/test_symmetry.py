@@ -30,7 +30,7 @@ def not_a_group():
 def quadratic_lagrangian():
     return Lmod.make_lagrangian(
         2,
-        eval=lambda t, x, v: 0.5 * (np.dot(x, x) + np.dot(v, v)),
+        eval=lambda t, x, v: 0.5 * (np.vecdot(x, x) + np.vecdot(v, v)),
         d_t=lambda t, x, v: 0.0,
         d_x=lambda t, x, v: x,
         d_v=lambda t, x, v: v,
@@ -262,14 +262,14 @@ class TestInvariance:
 
     def test_time_dependent_lagrangian_fails_translation(self):
         _, traj = smooth_trajectory()
-        L = Lmod.make_lagrangian(2, eval=lambda t, x, v: t * np.dot(v, v))
+        L = Lmod.make_lagrangian(2, eval=lambda t, x, v: t * np.vecdot(v, v))
         report = G.check_invariance(L, G.time_translation(), traj, 0.6)
         assert not report.passed
         assert report.max_violation > 1e-2
 
     def test_identity_parameter_exact(self):
         _, traj = smooth_trajectory()
-        L = Lmod.make_lagrangian(2, eval=lambda t, x, v: t * np.dot(v, v))
+        L = Lmod.make_lagrangian(2, eval=lambda t, x, v: t * np.vecdot(v, v))
         report = G.check_invariance(
             L, G.dilation(0.5), traj, 0.6, s_samples=[0.0], tol=0.0
         )
@@ -281,7 +281,7 @@ class TestInvariance:
         # invariance the check should confirm at alpha = 1 in both modes
         grid = F.make_grid(0.0, 1.0, 64)
         traj = F.make_trajectory(grid, grid.nodes**2)
-        L = Lmod.make_lagrangian(1, eval=lambda t, x, v: t * v[0] ** 2)
+        L = Lmod.make_lagrangian(1, eval=lambda t, x, v: t * v[..., 0] ** 2)
         for fixed_base in (False, True):
             report = G.check_invariance(
                 L, G.dilation(1.0), traj, 1.0, tol=1e-13, fixed_base=fixed_base
@@ -337,9 +337,9 @@ def nan_time_map(bad_s, base_ok=False):
     (at every t, or at every t but 0 when ``base_ok``)."""
 
     def phi0(s, t):
-        if s == bad_s and not (base_ok and t == 0.0):
-            return math.nan
-        return t
+        if s != bad_s:
+            return t
+        return np.where(base_ok & (np.asarray(t) == 0.0), t, math.nan)
 
     return G.GroupSpec(
         phi0=phi0,

@@ -10,8 +10,10 @@ Only left-sided weight matrices are built here.  The right-sided operators
 are exactly the left ones flipped in both indices (the kernels mirror under
 s -> a + b - s).  Off column 0 each matrix is lower-triangular Toeplitz,
 so consumers need not apply it densely: the L1 derivative applies the
-profile by convolution, and the solver forms I_left @ I_right in O(N^2)
-from the integral matrix's last row, column 0 and one matrix-vector product.
+profile by convolution, the composition check applies the integral matrix
+by convolution with its last row, and the solver forms I_left @ I_right in
+O(N^2) from the integral matrix's last row, column 0 and one matrix-vector
+product.
 """
 
 import math

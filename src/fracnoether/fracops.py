@@ -11,7 +11,9 @@ Quadrature conventions
   average of its endpoint values and the weakly singular kernel
   ``(t - s)**(alpha - 1) / Gamma(alpha)`` is integrated exactly.  Row ``k``
   of the matrix applied to a constant ``C`` therefore gives
-  ``C * (t_k - a)**alpha / Gamma(1 + alpha)`` up to rounding.
+  ``C * (t_k - a)**alpha / Gamma(1 + alpha)`` up to rounding.  The
+  composition check applies the matrix by its column 0 and Toeplitz
+  symbol, a direct convolution on one thread.
 * Caputo derivatives (L1 rule): ``x'`` is taken piecewise constant,
   ``(x[i+1] - x[i]) / h``, and the kernel ``(t - s)**(-alpha)`` is
   integrated exactly.  ``alpha = 1`` falls back to second-order finite
@@ -270,6 +272,24 @@ class CompositionReport:
     rl_residual: float
 
 
+def _apply_left_integral(integ: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``integ @ vals`` for the left integral matrix, by its structure:
+    column 0 times the node-0 row, plus a direct convolution of the
+    Toeplitz symbol t[g] = integ[N, N-g] (g < N) with rows 1..N, per
+    component.
+
+    This stays on one thread: a BLAS product of the dense matrix is memory
+    bound, gains nothing from OpenBLAS's worker threads and leaves them
+    spinning, so its speed follows the load on the other cores.
+    """
+    n = integ.shape[0]
+    t = integ[n - 1, :0:-1]
+    out = integ[:, :1] * vals[0]
+    for j in range(vals.shape[1]):
+        out[1:, j] += np.convolve(t, vals[1:, j])[: n - 1]
+    return out
+
+
 def check_composition(grid: Grid, alpha, x: Trajectory) -> CompositionReport:
     """Measure how well the discrete operators satisfy the left composition
     rules, as sup norms over the interior nodes 1..N-1 (all components).
@@ -283,13 +303,13 @@ def check_composition(grid: Grid, alpha, x: Trajectory) -> CompositionReport:
     cap = caputo_left(grid, o, x)
     rl = rl_left(grid, o, x)
 
-    recon_cap = integ @ cap.values
+    recon_cap = _apply_left_integral(integ, cap.values)
     target_cap = x.values - x.values[0]
     interior = slice(1, grid.n_sub)
     caputo_residual = float(np.max(np.abs(recon_cap - target_cap)[interior]))
 
     rl_vals = np.where(rl.mask[:, None], rl.values, 0.0)
-    recon_rl = integ @ rl_vals
+    recon_rl = _apply_left_integral(integ, rl_vals)
     rl_residual = float(np.max(np.abs(recon_rl - x.values)[interior]))
 
     return CompositionReport(

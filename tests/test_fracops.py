@@ -304,6 +304,27 @@ class TestComposition:
         rep = F.check_composition(g, 1.0, F.make_trajectory(g, g.nodes))
         assert rep.caputo_residual < 1e-13
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.one_of(st.floats(0.01, 0.99), st.just(1.0)),
+        n_sub=st.integers(2, 150),
+        a=st.floats(-10.0, 10.0),
+        length=st.floats(1e-2, 10.0),
+        dim=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_structured_apply_matches_dense_product(self, alpha, n_sub, a, length, dim, seed):
+        # check_composition applies the integral matrix by its column 0 and
+        # Toeplitz symbol; the dense product is the oracle
+        g = F.make_grid(a, a + length, n_sub)
+        m = F.left_integral_matrix(g, alpha)
+        ys = np.random.default_rng(seed).standard_normal((g.n_nodes, dim))
+        out = F._apply_left_integral(m, ys)
+        tol = 1e-13 * np.max(np.sum(np.abs(m), axis=1)) * np.max(np.abs(ys))
+        assert out.shape == ys.shape
+        assert np.all(out[0] == 0.0)
+        assert np.max(np.abs(out - m @ ys)) <= tol
+
 
 def _derivative_values(op, g, alpha, xs):
     return op(g, alpha, F.make_trajectory(g, xs)).values[:, 0]

@@ -11,9 +11,8 @@ are exactly the left ones flipped in both indices (the kernels mirror under
 s -> a + b - s).  Off column 0 each matrix is lower-triangular Toeplitz,
 so consumers need not apply it densely: the L1 derivative applies the
 profile by convolution, the composition check applies the integral matrix
-by convolution with its last row, and the solver forms I_left @ I_right in
-O(N^2) from the integral matrix's last row, column 0 and one matrix-vector
-product.
+by convolution with its last row, and the solver applies I_left @ I_right
+by two FFT convolutions with that row plus column-0 terms.
 """
 
 import math

@@ -135,12 +135,15 @@ def _assemble_quantity(
     variant: str,
     convention: str,
     context: str,
+    dxa: np.ndarray | None = None,
 ) -> QuantitySeries:
+    """``dxa``, when given, is the caller's D_a+ x (saves one apply)."""
     grid = x.grid
     h = grid.h
     left = _left_op(convention)
 
-    dxa = left(grid, o, x).values
+    if dxa is None:
+        dxa = left(grid, o, x).values
     xdot = np.gradient(x.values, h, axis=0, edge_order=2)
     dxdot = left(grid, o, make_trajectory(grid, xdot)).values
     dxi = left(grid, o, make_trajectory(grid, xi)).values
@@ -251,7 +254,7 @@ def autonomous_quantity(
         "D_b- = rl; xdot by central differences"
     )
     return _assemble_quantity(
-        L, x, o, zeta, zeta_dot, xi, "conslaw", convention, context
+        L, x, o, zeta, zeta_dot, xi, "conslaw", convention, context, dxa
     )
 
 

@@ -273,6 +273,31 @@ class TestAutonomousQuantity:
             assert np.all(q.defined_values() == 0.5 * float(c @ c))
 
 
+    @pytest.mark.parametrize("convention", ["caputo", "rl"])
+    def test_left_derivative_of_x_taken_once(self, convention, monkeypatch):
+        # the dL/dt check's D_a+ x is reused by the quantity: x, xi = 0 and
+        # xdot are differentiated once each, like the time-translation
+        # noether_quantity it must equal bit for bit
+        calls = []
+        op = NO._LEFT_OPS[convention]
+
+        def counted(grid, o, x):
+            calls.append(x)
+            return op(grid, o, x)
+
+        monkeypatch.setitem(NO._LEFT_OPS, convention, counted)
+        L = PR.kappa_lagrangian(-1.0, dim=2)
+        x = solve_quadratic(32, 0.5)
+        q = NO.autonomous_quantity(L, x, 0.5, convention=convention)
+        assert len(calls) == 3
+        assert calls[0] is x
+        ref = NO.noether_quantity(
+            L, SY.time_translation(), x, 0.5, convention=convention
+        )
+        assert np.array_equal(q.values, ref.values, equal_nan=True)
+        assert np.array_equal(q.mask, ref.mask)
+
+
 class TestOscillatorQuantity:
     def test_zero_trajectory(self):
         grid = F.make_grid(0.0, 1.0, 40)

@@ -13,16 +13,20 @@ Quadrature conventions
   of the matrix applied to a constant ``C`` therefore gives
   ``C * (t_k - a)**alpha / Gamma(1 + alpha)`` up to rounding.  The
   composition check applies the matrix by its column 0 and Toeplitz
-  symbol, a direct convolution on one thread.
+  symbol, with the causal convolution described next.
 * Caputo derivatives (L1 rule): ``x'`` is taken piecewise constant,
   ``(x[i+1] - x[i]) / h``, and the kernel ``(t - s)**(-alpha)`` is
   integrated exactly.  ``alpha = 1`` falls back to second-order finite
   differences (central in the interior, one-sided at the ends).  The
-  derivatives evaluate in slope form: a direct (not FFT) convolution of the
-  L1 weight profile with the difference quotients, per component, in
-  O(N^2) time and O(N) memory.  It is exactly causal and maps constants to
-  exactly zero; the dense L1 matrix ``_kernels.l1_weights`` is kept as the
-  test oracle and agrees with the slope form to rounding.
+  derivatives evaluate in slope form: the memoized L1 weight profile is
+  convolved with the difference quotients by ``_kernels.causal_convolve``,
+  all components at once, in O(N) memory.  Below
+  ``_kernels.FFT_MIN_NODES`` nodes that is ``np.convolve``, O(N^2); above,
+  a blocked convolution with direct near-field and FFT far-field blocks of
+  doubling size, O(N log^2 N).  Both are exactly causal (a node's value
+  depends only on the values at or before it, bit for bit) and map
+  constants to exactly zero; the dense L1 matrix ``_kernels.l1_weights``
+  is kept as the test oracle and agrees with the slope form to rounding.
 * Right-sided operators are mirror images of the left-sided ones: the right
   integral matrix is a view of the left one flipped in both indices (one
   fill, no copy), and a right derivative is the left derivative of the
@@ -198,15 +202,11 @@ def _caputo_core(grid: Grid, o: FractionalOrder, vals: np.ndarray) -> np.ndarray
             out[0] = (3.0 * s[0] - s[1]) * 0.5
             out[-1] = (3.0 * s[-1] - s[-2]) * 0.5
         return out
-    b = _kernels.weight_profile(
-        grid.n_nodes, h, 1.0 - o.alpha, math.gamma(2.0 - o.alpha)
+    # out[k] = sum_{i<k} W[k-i] * s[i] with the L1 profile W, by the exactly
+    # causal convolution: W[0] = 0 keeps row 0 zero, zero slopes give zeros
+    return _kernels.profile_convolve(
+        grid.n_nodes, h, 1.0 - o.alpha, math.gamma(2.0 - o.alpha), s
     )
-    # out[k] = sum_{i<k} b[k-i] * s[i]; direct, not FFT, so the result is
-    # exactly causal (b[0] = 0 keeps row 0 zero) and zero slopes give zero
-    out = np.empty_like(vals)
-    for j in range(vals.shape[1]):
-        out[:, j] = np.convolve(b, s[:, j])[: grid.n_nodes]
-    return out
 
 
 def _rl_left_core(grid: Grid, o: FractionalOrder, vals: np.ndarray):
@@ -274,19 +274,17 @@ class CompositionReport:
 
 def _apply_left_integral(integ: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """``integ @ vals`` for the left integral matrix, by its structure:
-    column 0 times the node-0 row, plus a direct convolution of the
-    Toeplitz symbol t[g] = integ[N, N-g] (g < N) with rows 1..N, per
-    component.
+    column 0 times the node-0 row, plus the causal convolution
+    (``_kernels.causal_convolve``) of the Toeplitz symbol
+    t[g] = integ[N, N-g] (g < N) with rows 1..N, all components at once.
 
     This stays on one thread: a BLAS product of the dense matrix is memory
     bound, gains nothing from OpenBLAS's worker threads and leaves them
     spinning, so its speed follows the load on the other cores.
     """
     n = integ.shape[0]
-    t = integ[n - 1, :0:-1]
     out = integ[:, :1] * vals[0]
-    for j in range(vals.shape[1]):
-        out[1:, j] += np.convolve(t, vals[1:, j])[: n - 1]
+    out[1:] += _kernels.causal_convolve(integ[n - 1, :0:-1], vals[1:])
     return out
 
 
@@ -303,13 +301,13 @@ def check_composition(grid: Grid, alpha, x: Trajectory) -> CompositionReport:
     cap = caputo_left(grid, o, x)
     rl = rl_left(grid, o, x)
 
-    recon_cap = _apply_left_integral(integ, cap.values)
+    rl_vals = np.where(rl.mask[:, None], rl.values, 0.0)
+    recon_cap, recon_rl = np.hsplit(
+        _apply_left_integral(integ, np.hstack([cap.values, rl_vals])), 2
+    )
     target_cap = x.values - x.values[0]
     interior = slice(1, grid.n_sub)
     caputo_residual = float(np.max(np.abs(recon_cap - target_cap)[interior]))
-
-    rl_vals = np.where(rl.mask[:, None], rl.values, 0.0)
-    recon_rl = _apply_left_integral(integ, rl_vals)
     rl_residual = float(np.max(np.abs(recon_rl - x.values)[interior]))
 
     return CompositionReport(

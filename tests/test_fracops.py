@@ -374,3 +374,126 @@ class TestOperatorProperties:
             gaps.append(np.max(np.abs(y - ref)))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[-1] < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the blocked (FFT) branch of the causal convolution: the tests above run on
+# grids below _kernels.FFT_MIN_NODES, where it is np.convolve
+
+N_BLOCKED = 3000
+assert N_BLOCKED + 1 >= _kernels.FFT_MIN_NODES
+
+
+def _direct_convolve(b, s):
+    return np.column_stack([np.convolve(b, s[:, j])[: b.shape[0]] for j in range(s.shape[1])])
+
+
+class TestBlockedConvolution:
+    # bump positions on a leaf boundary, one past it, on the top power-of-two
+    # boundary, and off every boundary
+    BUMPS = (2 * _kernels.LEAF, 2 * _kernels.LEAF + 1, 2048, 2049, 1777)
+
+    @pytest.mark.parametrize("bump", BUMPS)
+    def test_causality_bitwise(self, bump):
+        g = grid01(N_BLOCKED)
+        rng = np.random.default_rng(bump)
+        base = rng.standard_normal((g.n_nodes, 2))
+        m = F.left_integral_matrix(g, 0.5)
+        for pos, left_of_bump in ((bump, True), (g.n_sub - bump, False)):
+            bumped = base.copy()
+            bumped[pos] += 1.0
+            untouched = slice(None, pos) if left_of_bump else slice(pos + 1, None)
+            ops = (F.caputo_left, F.rl_left) if left_of_bump else (F.caputo_right, F.rl_right)
+            for op in ops:
+                before = op(g, 0.5, F.make_trajectory(g, base)).values[untouched]
+                after = op(g, 0.5, F.make_trajectory(g, bumped)).values[untouched]
+                assert before.tobytes() == after.tobytes(), op.__name__
+            if left_of_bump:
+                before = F._apply_left_integral(m, base)[untouched]
+                after = F._apply_left_integral(m, bumped)[untouched]
+                assert before.tobytes() == after.tobytes()
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.7))
+    def test_constant_maps_to_exact_zero(self, alpha):
+        g = grid01(N_BLOCKED)
+        x = F.make_trajectory(g, np.full((g.n_nodes, 2), 4.2))
+        assert np.all(F.caputo_left(g, alpha, x).values == 0.0)
+        assert np.all(F.caputo_right(g, alpha, x).values == 0.0)
+        assert F.check_composition(g, alpha, x).caputo_residual == 0.0
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.9))
+    def test_matches_direct_branch(self, alpha, monkeypatch):
+        # the np.convolve branch, forced at the same size, is the oracle
+        g = F.make_grid(-1.0, 2.0, 3200)
+        t = g.nodes
+        x = F.make_trajectory(g, np.column_stack([np.sin(3.0 * t), (t + 1.0) ** 2.5]))
+        m = F.left_integral_matrix(g, alpha)
+
+        def run():
+            ops = (F.caputo_left, F.caputo_right, F.rl_left, F.rl_right)
+            outs = [op(g, alpha, x).values for op in ops]
+            return outs + [F._apply_left_integral(m, x.values)]
+
+        blocked = run()
+        monkeypatch.setattr(_kernels, "FFT_MIN_NODES", g.n_nodes + 1)
+        for got, ref in zip(blocked, run()):
+            defined = np.isfinite(ref)
+            assert np.array_equal(defined, np.isfinite(got))
+            scale = np.max(np.abs(ref[defined]))
+            assert np.max(np.abs(got[defined] - ref[defined])) <= 1e-13 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(_kernels.FFT_MIN_NODES - 100, 2 * _kernels.FFT_MIN_NODES + 100),
+        short_input=st.booleans(),
+        dim=st.integers(1, 3),
+        zero_head=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_np_convolve(self, n, short_input, dim, zero_head, seed):
+        # lengths straddle the branch threshold and are mostly not powers of
+        # two; the input has n or n - 1 rows, as the two callers pass
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        if zero_head:
+            b[0] = 0.0
+        s = rng.standard_normal((n - 1 if short_input else n, dim))
+        got = _kernels.causal_convolve(b, s)
+        tol = 1e-13 * np.sum(np.abs(b)) * np.max(np.abs(s))
+        assert got.shape == (n, dim)
+        assert np.max(np.abs(got - _direct_convolve(b, s))) <= tol
+
+    def test_repeat_calls_bit_identical(self):
+        # the first call builds the weight profile and its per-level kernels,
+        # the second reuses them; both must give the same bits
+        g = grid01(3200)
+        x = F.make_trajectory(g, np.column_stack([g.nodes**2, np.cos(g.nodes)]))
+
+        def run():
+            rep = F.check_composition(g, 0.6, x)
+            d = F.rl_right(g, 0.6, x).values
+            return rep.caputo_residual.hex(), rep.rl_residual.hex(), [v.hex() for v in d.ravel()]
+
+        _kernels._profile.cache_clear()
+        assert run() == run()
+
+
+class TestWeightProfileMemo:
+    def test_read_only_and_shared(self):
+        w = _kernels.weight_profile(50, 0.02, 0.5, math.gamma(1.5))
+        assert not w.flags.writeable
+        assert _kernels.weight_profile(50, 0.02, 0.5, math.gamma(1.5)) is w
+        with pytest.raises(ValueError):
+            w[1] = 0.0
+
+    def test_one_build_per_order_and_grid(self):
+        # every operator at one order on one grid shares two profiles: the
+        # L1 profile (1 - alpha) and the integral profile (alpha)
+        g = grid01(200)
+        x = F.make_trajectory(g, np.column_stack([g.nodes**2, np.sin(g.nodes)]))
+        _kernels._profile.cache_clear()
+        for op in (F.caputo_left, F.caputo_right, F.rl_left, F.rl_right):
+            op(g, 0.4, x)
+        F.check_composition(g, 0.4, x)
+        F.right_integral_matrix(g, 0.4)
+        assert _kernels._profile.cache_info().misses == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fracnoether.fracops as F
+from fracnoether import _kernels
 import fracnoether.lagrangian as LG
 import fracnoether.noether as NO
 import fracnoether.presets as PR
@@ -230,6 +231,22 @@ class TestNoetherQuantity:
             d = NO.drift(q).relative_drift
             assert np.isclose(d, frozen, rtol=5e-3)
             assert d > 100 * TRANSLATION_DRIFT_CLASSICAL[200]
+
+    def test_repeat_calls_bit_identical(self):
+        # at N = 3200 the derivatives take the blocked FFT convolution; the
+        # first call builds the weight profile and its per-level kernels, the
+        # second reuses them, and both must give the same bits
+        grid = F.make_grid(0.0, 1.0, 3200)
+        exact = SV.classical_reference(0.0, 1.0, [1.0, 2.0], [2.0, 1.0])(grid.nodes)
+        x = F.make_trajectory(grid, exact)
+        L = PR.kappa_lagrangian(-1.0, dim=2)
+
+        def run():
+            q = NO.noether_quantity(L, SY.time_translation(), x, 0.5)
+            return [v.hex() for v in q.values[q.mask]], q.mask.tolist()
+
+        _kernels._profile.cache_clear()
+        assert run() == run()
 
     def test_validation(self):
         L = PR.kappa_lagrangian(-1.0, dim=2)

@@ -10,6 +10,14 @@ actually constant along a computed trajectory is the package's primary
 verification signal: ``drift`` reduces a series to
 (max - min) / max(|mean|, 1e-12) over its defined nodes.
 
+All quantities come from one assembly at a symmetry generator: the
+autonomous and oscillator quantities are the general one at the time
+translation (the oscillator's with its stock Lagrangian), and the two
+residual series draw on the same ingredients.  ``_Along`` checks the
+arguments before any apply, takes D_a+ x once, applies further left
+derivatives, samples the Lagrangian's partials, and takes the one right
+derivative, D_b- of the momentum dL/dv, in ``_Along.right_of_momentum``.
+
 Conventions (named in every series' ``context``):
 
 * Left derivatives D_a+ default to Caputo, matching the velocity slot of
@@ -19,7 +27,8 @@ Conventions (named in every series' ``context``):
   stationarity condition; their node-N value is masked for alpha < 1.
 * Classical derivatives of node series (xdot, zeta-dot, d/dt of
   assembled quantities) use second-order central differences with
-  one-sided second-order ends (np.gradient).
+  one-sided second-order ends (np.gradient).  zeta-dot is taken of
+  zeta - zeta(a), so it is exactly 0 for a constant zeta.
 * Input trajectories must be fully defined; masking enters only through
   operator boundary rows or out-of-domain Lagrangian evaluations (NaN
   from the evaluators).  A masked integrand node contributes nothing to
@@ -34,7 +43,6 @@ undefined rather than raising.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -57,7 +65,8 @@ from .lagrangian import (
     _require_defined,
     make_series,
 )
-from .symmetry import GroupSpec
+from .presets import oscillator_lagrangian
+from .symmetry import GroupSpec, time_translation
 
 DRIFT_FLOOR = 1e-12
 
@@ -93,16 +102,46 @@ def drift(series: QuantitySeries) -> DriftReport:
 
 
 # ---------------------------------------------------------------------------
-# assembly pieces
+# assembly
 
 
-def _left_op(convention: str):
-    try:
-        return _LEFT_OPS[convention]
-    except KeyError:
-        raise ValueError(
-            f"convention must be one of {sorted(_LEFT_OPS)}, got {convention!r}"
-        ) from None
+class _Along:
+    """The ingredients of a series along one trajectory.
+
+    Construction checks every argument, so a bad one raises before any
+    apply, and then takes D_a+ x.
+    """
+
+    def __init__(self, L, x, alpha, what, convention, variant="conslaw"):
+        self.o = _order(alpha)
+        _require_defined(x, what)
+        _check_compatible(L, x)
+        try:
+            self._op = _LEFT_OPS[convention]
+        except KeyError:
+            raise ValueError(
+                f"convention must be one of {sorted(_LEFT_OPS)}, got {convention!r}"
+            ) from None
+        if variant not in ("conslaw", "conslaw2"):
+            raise ValueError(
+                f"variant must be 'conslaw' or 'conslaw2', got {variant!r}"
+            )
+        self.L, self.x, self.grid = L, x, x.grid
+        self.dxa = self._op(self.grid, self.o, x).values
+
+    def left(self, values: np.ndarray) -> np.ndarray:
+        """D_a+ of a further node series, in the convention of D_a+ x."""
+        return self._op(self.grid, self.o, make_trajectory(self.grid, values)).values
+
+    def at(self, name: str) -> np.ndarray:
+        """The Lagrangian's ``name`` evaluator at (t, x, D_a+ x)."""
+        return _node_series(self.L, name, self.grid.nodes, self.x.values, self.dxa)
+
+    def right_of_momentum(self, p: np.ndarray) -> np.ndarray:
+        """D_b- of the momentum series ``p`` = dL/dv, rows with a NaN
+        masked: the module's one right derivative."""
+        rows = np.all(np.isfinite(p), axis=1)
+        return rl_right(self.grid, self.o, make_trajectory(self.grid, p, mask=rows)).values
 
 
 def _cumtrapz_masked(f: np.ndarray, fmask: np.ndarray, h: float) -> np.ndarray:
@@ -118,57 +157,35 @@ def _cumtrapz_masked(f: np.ndarray, fmask: np.ndarray, h: float) -> np.ndarray:
 def _group_series(g: GroupSpec, x: Trajectory):
     nodes = x.grid.nodes
     zeta = _as_series(g.zeta(nodes), nodes.shape, "zeta must return one value per node")
-    zeta_dot = np.gradient(zeta, x.grid.h, edge_order=2)
+    # the one-sided end weights of np.gradient do not sum to exactly 0, so
+    # differentiate zeta - zeta(a); a non-finite zeta(a) counts as 0 so
+    # that a NaN stays local
+    zeta_a = zeta[0] if np.isfinite(zeta[0]) else 0.0
+    zeta_dot = np.gradient(zeta - zeta_a, x.grid.h, edge_order=2)
     xi = _as_series(
         g.xi(x.values), x.values.shape, "xi must return one component per configuration"
     )
     return zeta, zeta_dot, xi
 
 
-def _assemble_quantity(
-    L: LagrangianSpec,
-    x: Trajectory,
-    o,
-    zeta: np.ndarray,
-    zeta_dot: np.ndarray,
-    xi: np.ndarray,
-    variant: str,
-    convention: str,
-    context: str,
-    dxa: np.ndarray | None = None,
-) -> QuantitySeries:
-    """``dxa``, when given, is the caller's D_a+ x (saves one apply)."""
-    grid = x.grid
-    h = grid.h
-    left = _left_op(convention)
-
-    if dxa is None:
-        dxa = left(grid, o, x).values
-    xdot = np.gradient(x.values, h, axis=0, edge_order=2)
-    dxdot = left(grid, o, make_trajectory(grid, xdot)).values
-    dxi = left(grid, o, make_trajectory(grid, xi)).values
-
-    lvals = _node_series(L, "eval", grid.nodes, x.values, dxa)
-    p = _node_series(L, "d_v", grid.nodes, x.values, dxa)
+def _quantity(s: _Along, g: GroupSpec, variant: str, context: str) -> QuantitySeries:
+    """The Noether-type quantity of generator ``g`` (see noether_quantity)."""
+    h = s.grid.h
+    zeta, zeta_dot, xi = _group_series(g, s.x)
+    xdot = np.gradient(s.x.values, h, axis=0, edge_order=2)
+    lvals = s.at("eval")
+    p = s.at("d_v")
 
     shifted = xdot * zeta[:, None] - xi
     if variant == "conslaw":
-        p_rows = np.all(np.isfinite(p), axis=1)
-        p_traj = make_trajectory(grid, p, mask=p_rows)
-        dbp = rl_right(grid, o, p_traj).values
-        lead = np.sum(dbp * shifted, axis=1)
-    elif variant == "conslaw2":
+        lead = np.sum(s.right_of_momentum(p) * shifted, axis=1)
+    else:
         # on stationary trajectories D_b-[dL/dv] = -dL/dx; substituting
         # removes the right derivative (and its masked node) entirely
-        dgx = _node_series(L, "d_x", grid.nodes, x.values, dxa)
-        lead = -np.sum(dgx * shifted, axis=1)
-    else:
-        raise ValueError(
-            f"variant must be 'conslaw' or 'conslaw2', got {variant!r}"
-        )
-
+        lead = -np.sum(s.at("d_x") * shifted, axis=1)
     second = np.sum(
-        p * (zeta[:, None] * dxdot + zeta_dot[:, None] * dxa - dxi), axis=1
+        p * (zeta[:, None] * s.left(xdot) + zeta_dot[:, None] * s.dxa - s.left(xi)),
+        axis=1,
     )
     integrand = lead - second
     fmask = np.isfinite(integrand)
@@ -178,7 +195,7 @@ def _assemble_quantity(
     mask = np.isfinite(boundary)
     mask[-1] = mask[-1] and fmask[-1]
     return make_series(
-        grid, np.where(mask, values, np.nan), mask=mask, context=context
+        s.grid, np.where(mask, values, np.nan), mask=mask, context=context
     )
 
 
@@ -206,17 +223,12 @@ def noether_quantity(
     two differ exactly by the Euler-Lagrange residual contracted with
     xdot zeta - xi) and needs no right derivative.
     """
-    o = _order(alpha)
-    _require_defined(x, "noether_quantity")
-    _check_compatible(L, x)
-    zeta, zeta_dot, xi = _group_series(g, x)
+    s = _Along(L, x, alpha, "noether_quantity", convention, variant)
     context = (
         f"{variant} form; D_a+ = {convention}, D_b- = rl; "
         "xdot and zeta-dot by central differences"
     )
-    return _assemble_quantity(
-        L, x, o, zeta, zeta_dot, xi, variant, convention, context
-    )
+    return _quantity(s, g, variant, context)
 
 
 def autonomous_quantity(
@@ -234,47 +246,35 @@ def autonomous_quantity(
     (zeta = 1, xi = 0).  Rejects Lagrangians whose sampled |dL/dt|
     exceeds ``tol`` along the trajectory.
     """
-    o = _order(alpha)
-    _require_defined(x, "autonomous_quantity")
-    _check_compatible(L, x)
-    grid = x.grid
-    dxa = _left_op(convention)(grid, o, x).values
-    tvals = _node_series(L, "d_t", grid.nodes, x.values, dxa)
+    s = _Along(L, x, alpha, "autonomous_quantity", convention)
+    tvals = s.at("d_t")
     tvals = tvals[np.isfinite(tvals)]
     if tvals.size and float(np.max(np.abs(tvals))) > tol:
         raise ValueError(
             "Lagrangian is not autonomous: max sampled |dL/dt| = "
             f"{float(np.max(np.abs(tvals))):.3e} > {tol:g}"
         )
-    zeta = np.ones(grid.n_nodes)
-    zeta_dot = np.zeros(grid.n_nodes)
-    xi = np.zeros_like(x.values)
     context = (
         f"autonomous form (zeta = 1, xi = 0); D_a+ = {convention}, "
         "D_b- = rl; xdot by central differences"
     )
-    return _assemble_quantity(
-        L, x, o, zeta, zeta_dot, xi, "conslaw", convention, context, dxa
-    )
+    return _quantity(s, time_translation(), "conslaw", context)
 
 
 def oscillator_quantity(u: Trajectory, omega: float, alpha) -> QuantitySeries:
-    """Oscillator first integral, transcribed directly:
+    """Oscillator first integral,
 
         (D_a+ u)^2 / 2 - omega^2 u^2 / 2
-        + integral of (-D_a+[u'] D_a+[u] + u' D_b-[D_a+ u]).
+        + integral of (-D_a+[u'] D_a+[u] + u' D_b-[D_a+ u]),
 
+    the time-translation quantity of ``oscillator_lagrangian(omega)``.
     The left derivatives are Caputo; the form assumes u(a) = 0 (where
     Caputo and Riemann-Liouville coincide), and a nonzero u(a) draws a
     warning since the distinction then becomes material.
     """
-    o = _order(alpha)
-    _require_defined(u, "oscillator_quantity")
     if u.dim != 1:
         raise ValueError(f"oscillator_quantity expects a scalar trajectory, got dim {u.dim}")
-    omega = float(omega)
-    if not (math.isfinite(omega) and omega > 0.0):
-        raise ValueError("omega must be positive and finite")
+    s = _Along(oscillator_lagrangian(omega), u, alpha, "oscillator_quantity", "caputo")
     if u.values[0, 0] != 0.0:
         warnings.warn(
             f"u(a) = {u.values[0, 0]:g} != 0: the Caputo and "
@@ -282,31 +282,11 @@ def oscillator_quantity(u: Trajectory, omega: float, alpha) -> QuantitySeries:
             "uses the Caputo form",
             stacklevel=2,
         )
-
-    grid = u.grid
-    h = grid.h
-    du_traj = caputo_left(grid, o, u)
-    du = du_traj.values[:, 0]
-    udot = np.gradient(u.values[:, 0], h, edge_order=2)
-    dudot = caputo_left(grid, o, make_trajectory(grid, udot)).values[:, 0]
-    dbdu = rl_right(grid, o, du_traj).values[:, 0]
-
-    integrand = -dudot * du + udot * dbdu
-    fmask = np.isfinite(integrand)
-    values = (
-        0.5 * du**2
-        - 0.5 * omega**2 * u.values[:, 0] ** 2
-        + _cumtrapz_masked(integrand, fmask, h)
-    )
-    mask = np.ones(grid.n_nodes, dtype=bool)
-    mask[-1] = fmask[-1]
     context = (
         "oscillator form; D_a+ = caputo, D_b- = rl; "
         "u' by central differences"
     )
-    return make_series(
-        grid, np.where(mask, values, np.nan), mask=mask, context=context
-    )
+    return _quantity(s, time_translation(), "conslaw", context)
 
 
 # ---------------------------------------------------------------------------
@@ -332,31 +312,18 @@ def infinitesimal_criterion_residual(
     it (the plain-derivative form), which is inconsistent with the
     extension for alpha < 1 and generically non-zero even on symmetries.
     """
-    o = _order(alpha)
-    _require_defined(x, "infinitesimal_criterion_residual")
-    _check_compatible(L, x)
-    grid = x.grid
-    left = _left_op(convention)
-
-    dxa = left(grid, o, x).values
+    s = _Along(L, x, alpha, "infinitesimal_criterion_residual", convention)
     zeta, zeta_dot, xi = _group_series(g, x)
-    dxi = left(grid, o, make_trajectory(grid, xi)).values
-
-    lvals = _node_series(L, "eval", grid.nodes, x.values, dxa)
-    tvals = _node_series(L, "d_t", grid.nodes, x.values, dxa)
-    dgx = _node_series(L, "d_x", grid.nodes, x.values, dxa)
-    p = _node_series(L, "d_v", grid.nodes, x.values, dxa)
-
-    factor = o.alpha if ce_alpha_factor else 1.0
+    factor = s.o.alpha if ce_alpha_factor else 1.0
     series = (
-        tvals * zeta
-        + np.sum(dgx * xi, axis=1)
-        + lvals * zeta_dot
-        + np.sum(p * (-factor * dxa * zeta_dot[:, None] + dxi), axis=1)
+        s.at("d_t") * zeta
+        + np.sum(s.at("d_x") * xi, axis=1)
+        + s.at("eval") * zeta_dot
+        + np.sum(s.at("d_v") * (-factor * s.dxa * zeta_dot[:, None] + s.left(xi)), axis=1)
     )
     weight = "alpha-weighted" if ce_alpha_factor else "unweighted"
     context = f"{weight} boundary-velocity term; D_a+ = {convention}"
-    return make_series(grid, series, context=context)
+    return make_series(s.grid, series, context=context)
 
 
 def weak_theorem_residual(
@@ -375,29 +342,16 @@ def weak_theorem_residual(
     the trajectory, which holds automatically at alpha = 1 but
     generically fails for alpha < 1; the series quantifies that failure.
     """
-    o = _order(alpha)
-    _require_defined(x, "weak_theorem_residual")
-    _check_compatible(L, x)
-    grid = x.grid
-    h = grid.h
-    left = _left_op(convention)
-
-    dxa = left(grid, o, x).values
+    s = _Along(L, x, alpha, "weak_theorem_residual", convention)
     zeta, _, xi = _group_series(g, x)
-    dxi = left(grid, o, make_trajectory(grid, xi)).values
-
-    lvals = _node_series(L, "eval", grid.nodes, x.values, dxa)
-    p = _node_series(L, "d_v", grid.nodes, x.values, dxa)
-    p_rows = np.all(np.isfinite(p), axis=1)
-    dbp = rl_right(grid, o, make_trajectory(grid, p, mask=p_rows)).values
-
-    energy = (lvals - np.sum(dxa * p, axis=1)) * zeta
+    p = s.at("d_v")
+    energy = (s.at("eval") - np.sum(s.dxa * p, axis=1)) * zeta
     series = (
-        np.gradient(energy, h, edge_order=2)
-        + np.sum(p * dxi, axis=1)
-        - np.sum(dbp * xi, axis=1)
+        np.gradient(energy, s.grid.h, edge_order=2)
+        + np.sum(p * s.left(xi), axis=1)
+        - np.sum(s.right_of_momentum(p) * xi, axis=1)
     )
     context = (
         f"D_a+ = {convention}, D_b- = rl; d/dt by central differences"
     )
-    return make_series(grid, series, context=context)
+    return make_series(s.grid, series, context=context)

@@ -1,0 +1,34 @@
+"""The python examples of README.md run as written."""
+
+import pathlib
+import re
+import textwrap
+
+import fracnoether as fn
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def python_blocks():
+    """The README's python code blocks in order, each dedented (a block
+    inside a list item is indented with its fence)."""
+    pattern = re.compile(r"^( *)```python\n(.*?)^\1```", re.MULTILINE | re.DOTALL)
+    return [textwrap.dedent(m.group(2)) for m in pattern.finditer(README.read_text())]
+
+
+def test_examples_run_and_match_their_comments(capsys):
+    blocks = python_blocks()
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+
+    # the quick start prints the drift at alpha = 0.5 ("order 1: NOT
+    # conserved") and then at alpha = 1 ("order 1e-5: conserved")
+    fractional = fn.drift(namespace["series"]).relative_drift
+    classical = fn.drift(namespace["series1"]).relative_drift
+    assert fractional > 0.5
+    assert classical < 1e-4
+    printed = capsys.readouterr().out.split()
+    assert [float(v) for v in printed] == [fractional, classical]
+    assert isinstance(namespace["L"], fn.LagrangianSpec)

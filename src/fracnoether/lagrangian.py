@@ -8,6 +8,11 @@ configuration space, the pair of Euler-Lagrange residuals of the extended
 problem restricted to w = 1, and the "second Euler-Lagrange" node series
 L - D^alpha x . dL/dv whose constancy is probed by the conservation checks.
 
+Every Lagrangian series along a trajectory, here and in ``noether`` and
+``symmetry``, comes from ``_Along``: it refuses a partly masked trajectory
+before any apply, takes D_a+ x once, and holds the package's one D_b-
+outside ``fracops``, of the momentum dL/dv.
+
 Evaluator contract: each evaluator is called once per series on node
 arrays, component axis last: ``t`` of shape (M,), ``x`` and ``v`` of shape
 (M, dim).  ``eval``/``d_t`` return (M,), ``d_x``/``d_v`` (M, dim), and a 0-d
@@ -29,6 +34,7 @@ from .fracops import (
     _order,
     caputo_left,
     make_trajectory,
+    rl_left,
     rl_right,
 )
 
@@ -179,11 +185,6 @@ def extend(L: LagrangianSpec, alpha) -> ExtendedLagrangianSpec:
     return ExtendedLagrangianSpec(base=L, alpha=_order(alpha))
 
 
-def _check_compatible(L: LagrangianSpec, x: Trajectory) -> None:
-    if L.dim != x.dim:
-        raise ValueError(f"Lagrangian dim {L.dim} != trajectory dim {x.dim}")
-
-
 def _require_defined(x: Trajectory, what: str) -> None:
     if not np.all(x.mask):
         raise ValueError(f"{what} requires a fully defined trajectory")
@@ -220,17 +221,64 @@ def _node_series(L: LagrangianSpec, name: str, times, xvals, vvals):
     return out
 
 
+_LEFT_OPS = {"caputo": caputo_left, "rl": rl_left}
+
+
+class _Along:
+    """A Lagrangian along one trajectory.  Construction checks the order,
+    that ``x`` is fully defined (``what`` names the caller), the dims and
+    the convention, so a bad argument raises before any apply; it then
+    takes D_a+ x."""
+
+    def __init__(self, L, x, alpha, what, convention="caputo"):
+        self.o = _order(alpha)
+        _require_defined(x, what)
+        if L.dim != x.dim:
+            raise ValueError(f"Lagrangian dim {L.dim} != trajectory dim {x.dim}")
+        try:
+            self._op = _LEFT_OPS[convention]
+        except KeyError:
+            raise ValueError(
+                f"convention must be one of {sorted(_LEFT_OPS)}, got {convention!r}"
+            ) from None
+        self.L, self.x, self.grid = L, x, x.grid
+        self.dxa = self._op(self.grid, self.o, x).values
+
+    def left(self, values: np.ndarray) -> np.ndarray:
+        """D_a+ of a further node series, in the convention of D_a+ x.  An
+        all-zero series skips the apply: both conventions map it to +0.0,
+        NaN where D_a+ x is undefined."""
+        if not np.any(values):
+            return np.where(np.isnan(self.dxa), np.nan, 0.0)
+        return self._op(self.grid, self.o, make_trajectory(self.grid, values)).values
+
+    def at(self, name: str) -> np.ndarray:
+        """The Lagrangian's ``name`` evaluator at (t, x, D_a+ x)."""
+        return _node_series(self.L, name, self.grid.nodes, self.x.values, self.dxa)
+
+    def right_of_momentum(self, p: np.ndarray) -> np.ndarray:
+        """D_b- of the momentum series ``p`` = dL/dv, rows with a NaN
+        masked: the package's one D_b- outside ``fracops``."""
+        rows = np.all(np.isfinite(p), axis=1)
+        return rl_right(self.grid, self.o, make_trajectory(self.grid, p, mask=rows)).values
+
+
+def _el_residual(s: _Along) -> Trajectory:
+    p = s.at("d_v")
+    dp = s.right_of_momentum(p)
+    # only D_b-'s own undefined node is masked; a NaN partial raises
+    defined = np.all(np.isfinite(dp), axis=1) | ~np.all(np.isfinite(p), axis=1)
+    return make_trajectory(s.grid, dp + s.at("d_x"), mask=defined)
+
+
 def action(L: LagrangianSpec, x: Trajectory, alpha) -> float:
     """Trapezoid quadrature of L(t, x, caputo_left(x)) over the grid."""
-    o = _order(alpha)
-    _check_compatible(L, x)
-    grid = x.grid
-    v = caputo_left(grid, o, x)
-    f = _node_series(L, "eval", grid.nodes, x.values, v.values)
+    s = _Along(L, x, alpha, "action")
+    f = s.at("eval")
     if not np.all(np.isfinite(f)):
         k = int(np.argmin(np.isfinite(f)))
         raise ValueError(f"non-finite action integrand at node {k}")
-    return float(np.trapezoid(f, dx=grid.h))
+    return float(np.trapezoid(f, dx=s.grid.h))
 
 
 def el_residual(L: LagrangianSpec, x: Trajectory, alpha) -> Trajectory:
@@ -240,15 +288,7 @@ def el_residual(L: LagrangianSpec, x: Trajectory, alpha) -> Trajectory:
     its undefined boundary node (t = b, alpha < 1) stays masked in the
     output.
     """
-    o = _order(alpha)
-    _check_compatible(L, x)
-    grid = x.grid
-    v = caputo_left(grid, o, x)
-    p = make_trajectory(grid, _node_series(L, "d_v", grid.nodes, x.values, v.values))
-    dp = rl_right(grid, o, p)
-    dx = _node_series(L, "d_x", grid.nodes, x.values, v.values)
-    vals = dp.values + dx
-    return make_trajectory(grid, vals, mask=dp.mask.copy())
+    return _el_residual(_Along(L, x, alpha, "el_residual"))
 
 
 def second_el_quantity(L: LagrangianSpec, x: Trajectory, alpha) -> QuantitySeries:
@@ -258,14 +298,8 @@ def second_el_quantity(L: LagrangianSpec, x: Trajectory, alpha) -> QuantitySerie
     constancy along extremals is the fractional second Euler-Lagrange
     condition under test in the conservation checks.
     """
-    o = _order(alpha)
-    _check_compatible(L, x)
-    grid = x.grid
-    v = caputo_left(grid, o, x)
-    lvals = _node_series(L, "eval", grid.nodes, x.values, v.values)
-    p = _node_series(L, "d_v", grid.nodes, x.values, v.values)
-    series = lvals - np.sum(v.values * p, axis=1)
-    return make_series(grid, series)
+    s = _Along(L, x, alpha, "second_el_quantity")
+    return make_series(s.grid, s.at("eval") - np.sum(s.dxa * s.at("d_v"), axis=1))
 
 
 def extended_el_residual(E: ExtendedLagrangianSpec, x: Trajectory, alpha_factor: bool = True):
@@ -280,18 +314,8 @@ def extended_el_residual(E: ExtendedLagrangianSpec, x: Trajectory, alpha_factor:
     ``alpha_factor=False`` drops the factor alpha on the mixed term; the two
     variants differ in the literature and both are useful for comparison.
     """
-    o = E.alpha
-    L = E.base
-    _check_compatible(L, x)
-    grid = x.grid
-
-    res_a = el_residual(L, x, o)
-
-    v = caputo_left(grid, o, x)
-    lvals = _node_series(L, "eval", grid.nodes, x.values, v.values)
-    p = _node_series(L, "d_v", grid.nodes, x.values, v.values)
-    dt = _node_series(L, "d_t", grid.nodes, x.values, v.values)
-    factor = o.alpha if alpha_factor else 1.0
-    inner = lvals - factor * np.sum(v.values * p, axis=1)
-    res_b = dt - np.gradient(inner, grid.h, edge_order=2)
-    return res_a, make_series(grid, res_b)
+    s = _Along(E.base, x, E.alpha, "extended_el_residual")
+    factor = s.o.alpha if alpha_factor else 1.0
+    inner = s.at("eval") - factor * np.sum(s.dxa * s.at("d_v"), axis=1)
+    res_b = s.at("d_t") - np.gradient(inner, s.grid.h, edge_order=2)
+    return _el_residual(s), make_series(s.grid, res_b)

@@ -13,10 +13,12 @@ verification signal: ``drift`` reduces a series to
 All quantities come from one assembly at a symmetry generator: the
 autonomous and oscillator quantities are the general one at the time
 translation (the oscillator's with its stock Lagrangian), and the two
-residual series draw on the same ingredients.  ``_Along`` checks the
-arguments before any apply, takes D_a+ x once, applies further left
-derivatives, samples the Lagrangian's partials, and takes the one right
-derivative, D_b- of the momentum dL/dv, in ``_Along.right_of_momentum``.
+residual series draw on the same ingredients.  Those come from
+``lagrangian._Along``, the package's one evaluation of a Lagrangian along
+a trajectory: it checks the arguments before any apply, takes D_a+ x
+once, applies further left derivatives (none for an all-zero series),
+samples the Lagrangian's partials, and takes D_b- of the momentum dL/dv.
+This module applies no fractional operator itself.
 
 Conventions (named in every series' ``context``):
 
@@ -48,29 +50,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fracops import (
-    Trajectory,
-    _order,
-    caputo_left,
-    make_trajectory,
-    rl_left,
-    rl_right,
-)
-from .lagrangian import (
-    LagrangianSpec,
-    QuantitySeries,
-    _as_series,
-    _check_compatible,
-    _node_series,
-    _require_defined,
-    make_series,
-)
+from .fracops import Trajectory
+from .lagrangian import LagrangianSpec, QuantitySeries, _Along, _as_series, make_series
 from .presets import oscillator_lagrangian
 from .symmetry import GroupSpec, time_translation
 
 DRIFT_FLOOR = 1e-12
-
-_LEFT_OPS = {"caputo": caputo_left, "rl": rl_left}
 
 
 @dataclass(frozen=True)
@@ -103,45 +88,6 @@ def drift(series: QuantitySeries) -> DriftReport:
 
 # ---------------------------------------------------------------------------
 # assembly
-
-
-class _Along:
-    """The ingredients of a series along one trajectory.
-
-    Construction checks every argument, so a bad one raises before any
-    apply, and then takes D_a+ x.
-    """
-
-    def __init__(self, L, x, alpha, what, convention, variant="conslaw"):
-        self.o = _order(alpha)
-        _require_defined(x, what)
-        _check_compatible(L, x)
-        try:
-            self._op = _LEFT_OPS[convention]
-        except KeyError:
-            raise ValueError(
-                f"convention must be one of {sorted(_LEFT_OPS)}, got {convention!r}"
-            ) from None
-        if variant not in ("conslaw", "conslaw2"):
-            raise ValueError(
-                f"variant must be 'conslaw' or 'conslaw2', got {variant!r}"
-            )
-        self.L, self.x, self.grid = L, x, x.grid
-        self.dxa = self._op(self.grid, self.o, x).values
-
-    def left(self, values: np.ndarray) -> np.ndarray:
-        """D_a+ of a further node series, in the convention of D_a+ x."""
-        return self._op(self.grid, self.o, make_trajectory(self.grid, values)).values
-
-    def at(self, name: str) -> np.ndarray:
-        """The Lagrangian's ``name`` evaluator at (t, x, D_a+ x)."""
-        return _node_series(self.L, name, self.grid.nodes, self.x.values, self.dxa)
-
-    def right_of_momentum(self, p: np.ndarray) -> np.ndarray:
-        """D_b- of the momentum series ``p`` = dL/dv, rows with a NaN
-        masked: the module's one right derivative."""
-        rows = np.all(np.isfinite(p), axis=1)
-        return rl_right(self.grid, self.o, make_trajectory(self.grid, p, mask=rows)).values
 
 
 def _cumtrapz_masked(f: np.ndarray, fmask: np.ndarray, h: float) -> np.ndarray:
@@ -223,7 +169,11 @@ def noether_quantity(
     two differ exactly by the Euler-Lagrange residual contracted with
     xdot zeta - xi) and needs no right derivative.
     """
-    s = _Along(L, x, alpha, "noether_quantity", convention, variant)
+    if variant not in ("conslaw", "conslaw2"):
+        raise ValueError(
+            f"variant must be 'conslaw' or 'conslaw2', got {variant!r}"
+        )
+    s = _Along(L, x, alpha, "noether_quantity", convention)
     context = (
         f"{variant} form; D_a+ = {convention}, D_b- = rl; "
         "xdot and zeta-dot by central differences"
@@ -274,7 +224,7 @@ def oscillator_quantity(u: Trajectory, omega: float, alpha) -> QuantitySeries:
     """
     if u.dim != 1:
         raise ValueError(f"oscillator_quantity expects a scalar trajectory, got dim {u.dim}")
-    s = _Along(oscillator_lagrangian(omega), u, alpha, "oscillator_quantity", "caputo")
+    s = _Along(oscillator_lagrangian(omega), u, alpha, "oscillator_quantity")
     if u.values[0, 0] != 0.0:
         warnings.warn(
             f"u(a) = {u.values[0, 0]:g} != 0: the Caputo and "

@@ -15,7 +15,10 @@ check.  Violations are folded with ``np.maximum``, so a NaN sample (a
 time map or action that could not be evaluated) becomes the reported
 violation and fails the check.  Exceptions are reserved for unusable
 inputs, e.g. a time map that is not increasing on the interval (so no
-transformed grid exists) or a partially defined trajectory.
+transformed grid exists) or a partially defined trajectory.  The actions
+in ``check_invariance`` are sampled through ``lagrangian._Along``, like
+every other Lagrangian series; only ``check_chain_rule`` applies an
+operator itself.
 
 Group closures must be pure functions.
 
@@ -49,8 +52,8 @@ import numpy as np
 from .fracops import Trajectory, _order, caputo_left, make_grid, make_trajectory
 from .lagrangian import (
     LagrangianSpec,
+    _Along,
     _as_series,
-    _check_compatible,
     _node_series,
     _require_defined,
 )
@@ -413,16 +416,10 @@ def check_invariance(
     makes sense for groups fixing the base point, so phi0_s(a) != a
     raises ValueError.
     """
-    o = _order(alpha)
-    _require_defined(x, "check_invariance")
-    _check_compatible(L, x)
     s_arr = _s_array(s_samples)
-    grid = x.grid
-
-    dx = caputo_left(grid, o, x).values
-    reference = float(
-        np.trapezoid(_node_series(L, "eval", grid.nodes, x.values, dx), dx=grid.h)
-    )
+    along = _Along(L, x, alpha, "check_invariance")
+    o, grid = along.o, along.grid
+    reference = float(np.trapezoid(along.at("eval"), dx=grid.h))
 
     worst = 0.0
     for s in s_arr:
@@ -436,18 +433,12 @@ def check_invariance(
                     f"got phi0_s(a) = {tau_nodes[0]:g} for s = {s:g}"
                 )
             z = _resample(tau_nodes, y_vals, grid.a, grid.n_sub)
-            dz = caputo_left(z.grid, o, z).values
-            transformed = float(
-                np.trapezoid(
-                    _node_series(L, "eval", z.grid.nodes, z.values, dz),
-                    dx=z.grid.h,
-                )
-            )
+            on_z = _Along(L, z, o, "check_invariance")
+            transformed = float(np.trapezoid(on_z.at("eval"), dx=z.grid.h))
         else:
             k_factor = dilation_factor(g, s, 0.5 * (grid.a + grid.b))
             times = _time_map(g, s, grid.nodes)
-            dy = caputo_left(grid, o, make_trajectory(grid, y_vals)).values
-            scaled = dy * k_factor ** (-o.alpha)
+            scaled = along.left(y_vals) * k_factor ** (-o.alpha)
             series = _node_series(L, "eval", times, y_vals, scaled) * k_factor
             transformed = float(np.trapezoid(series, dx=grid.h))
         gap = abs(transformed - reference) / (abs(reference) + 1.0)

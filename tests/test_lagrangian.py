@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracnoether import fracops as F
 from fracnoether import lagrangian as Lmod
+from fracnoether import presets as PR
 
 # classical BVP x'' = x, x(0)=1, x(1)=2: x = C1 e^t + C2 e^{-t}
 C1 = 0.6944004854896559
@@ -25,6 +28,22 @@ def quadratic_lagrangian(dim=2):
 
 def classical_solution(nodes):
     return C1 * np.exp(nodes) + C2 * np.exp(-nodes)
+
+
+def count_left_applies(monkeypatch):
+    """Record the argument of every D_a+ apply, in either convention."""
+    calls = []
+
+    def counting(op):
+        def counted(grid, o, y):
+            calls.append(y)
+            return op(grid, o, y)
+
+        return counted
+
+    for name, op in list(Lmod._LEFT_OPS.items()):
+        monkeypatch.setitem(Lmod._LEFT_OPS, name, counting(op))
+    return calls
 
 
 class TestMakeLagrangian:
@@ -214,8 +233,16 @@ class TestExtendedElResidual:
         L = quadratic_lagrangian()
         ra, _ = Lmod.extended_el_residual(Lmod.extend(L, 0.6), x)
         r = Lmod.el_residual(L, x, 0.6)
-        assert np.array_equal(ra.values[:-1], r.values[:-1])
+        assert np.array_equal(ra.values, r.values, equal_nan=True)
         assert np.array_equal(ra.mask, r.mask)
+
+    def test_left_derivative_of_x_taken_once(self, monkeypatch):
+        # both residuals read the same D_a+ x
+        calls = count_left_applies(monkeypatch)
+        g = F.make_grid(0.0, 1.0, 40)
+        x = F.make_trajectory(g, np.stack([np.sin(g.nodes), g.nodes**2], axis=1))
+        Lmod.extended_el_residual(Lmod.extend(quadratic_lagrangian(), 0.6), x)
+        assert len(calls) == 1 and calls[0] is x
 
     def test_autonomous_reduction(self):
         # for autonomous L the second residual is -d/dtau(L - alpha v.p)
@@ -275,6 +302,67 @@ class TestSecondElQuantity:
         q = Lmod.second_el_quantity(quadratic_lagrangian(1), x, 1.0)
         drift = (q.values.max() - q.values.min()) / abs(q.values.mean())
         assert drift < 1e-3
+
+
+class TestAlong:
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("action", lambda L, x: Lmod.action(L, x, 0.5)),
+            (
+                "action",
+                lambda L, x: Lmod.action(
+                    Lmod.make_lagrangian(2, eval=lambda t, x, v: 1.0), x, 0.5
+                ),
+            ),
+            ("el_residual", lambda L, x: Lmod.el_residual(L, x, 0.5)),
+            ("second_el_quantity", lambda L, x: Lmod.second_el_quantity(L, x, 0.5)),
+            (
+                "extended_el_residual",
+                lambda L, x: Lmod.extended_el_residual(Lmod.extend(L, 0.5), x),
+            ),
+        ],
+        ids=["action", "action-0d", "el_residual", "second", "extended"],
+    )
+    def test_masked_trajectory_raises_before_any_apply(self, name, call, monkeypatch):
+        # a masked row reads as 0 in D_a+, which corrupts every later node
+        # that still looks defined; refuse it up front
+        calls = count_left_applies(monkeypatch)
+        g = F.make_grid(0.0, 1.0, 20)
+        x = F.make_trajectory(
+            g,
+            np.stack([1.0 + g.nodes, g.nodes**2], axis=1),
+            mask=np.arange(g.n_nodes) != 3,
+        )
+        with pytest.raises(
+            ValueError, match=f"^{name} requires a fully defined trajectory$"
+        ):
+            call(PR.kappa_lagrangian(-1.0, dim=2), x)
+        assert calls == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.one_of(st.floats(0.05, 1.0), st.just(1.0)),
+        n_sub=st.integers(4, 2000),
+        dim=st.integers(1, 3),
+        a=st.floats(-3.0, 3.0),
+        length=st.floats(0.1, 5.0),
+        convention=st.sampled_from(["caputo", "rl"]),
+        zero=st.sampled_from([0.0, -0.0]),
+    )
+    def test_zero_series_skip_matches_operator(
+        self, alpha, n_sub, dim, a, length, convention, zero
+    ):
+        # n_sub spans both convolution paths (np.convolve and blocked FFT)
+        g = F.make_grid(a, a + length, n_sub)
+        x = F.make_trajectory(g, np.cos(np.outer(g.nodes, np.arange(1, dim + 1))))
+        along = Lmod._Along(PR.kappa_lagrangian(-1.0, dim=dim), x, alpha, "test", convention)
+        zeros = np.full((g.n_nodes, dim), zero)
+        got = along.left(zeros)
+        ref = Lmod._LEFT_OPS[convention](g, along.o, F.make_trajectory(g, zeros))
+        assert np.array_equal(got, ref.values, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(ref.values))
+        assert np.array_equal(~np.isnan(got).any(axis=1), ref.mask)
 
 
 class TestQuantitySeries:

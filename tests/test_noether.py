@@ -266,8 +266,8 @@ class TestNoetherQuantity:
 
             return counted
 
-        for name, op in list(NO._LEFT_OPS.items()):
-            monkeypatch.setitem(NO._LEFT_OPS, name, counting(op))
+        for name, op in list(LG._LEFT_OPS.items()):
+            monkeypatch.setitem(LG._LEFT_OPS, name, counting(op))
         L = PR.kappa_lagrangian(-1.0, dim=2)
         x = solve_quadratic(32, 0.5)
         g = SY.time_translation()
@@ -317,19 +317,19 @@ class TestAutonomousQuantity:
 
     @pytest.mark.parametrize("case", ["caputo", "rl", "oscillator"])
     def test_left_derivative_of_x_taken_once(self, case, monkeypatch):
-        # the dL/dt check's D_a+ x is reused by the quantity: x, xi = 0 and
-        # xdot are differentiated once each, like the time-translation
-        # noether_quantity it must equal bit for bit; the oscillator
-        # quantity is the Caputo case of its stock Lagrangian
+        # the dL/dt check's D_a+ x is reused by the quantity: x and xdot
+        # are differentiated once each (xi = 0 needs no apply), like the
+        # time-translation noether_quantity it must equal bit for bit; the
+        # oscillator quantity is the Caputo case of its stock Lagrangian
         convention = "caputo" if case == "oscillator" else case
         calls = []
-        op = NO._LEFT_OPS[convention]
+        op = LG._LEFT_OPS[convention]
 
         def counted(grid, o, x):
             calls.append(x)
             return op(grid, o, x)
 
-        monkeypatch.setitem(NO._LEFT_OPS, convention, counted)
+        monkeypatch.setitem(LG._LEFT_OPS, convention, counted)
         if case == "oscillator":
             L = PR.oscillator_lagrangian(1.3)
             x = solve_oscillator(32, 0.5, 1.3)
@@ -338,7 +338,7 @@ class TestAutonomousQuantity:
             L = PR.kappa_lagrangian(-1.0, dim=2)
             x = solve_quadratic(32, 0.5)
             q = NO.autonomous_quantity(L, x, 0.5, convention=convention)
-        assert len(calls) == 3
+        assert len(calls) == 2
         assert calls[0] is x
         ref = NO.noether_quantity(
             L, SY.time_translation(), x, 0.5, convention=convention
@@ -596,3 +596,39 @@ class TestWeakTheoremResidual:
         x = solve_quadratic(64, 0.5)
         r = NO.weak_theorem_residual(L, SY.time_translation(), x, 0.5)
         assert not r.mask[-1] and np.all(r.mask[:-1])
+
+
+class TestSinglePath:
+    # every series takes D_b- of the momentum through _Along.right_of_momentum,
+    # the one rl_right call outside fracops
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda L, x, u: LG.el_residual(L, x, 0.5),
+            lambda L, x, u: NO.noether_quantity(L, SY.time_translation(), x, 0.5),
+            lambda L, x, u: NO.autonomous_quantity(L, x, 0.5),
+            lambda L, x, u: NO.oscillator_quantity(u, 1.0, 0.5),
+            lambda L, x, u: NO.weak_theorem_residual(L, SY.space_rotation(), x, 0.5),
+        ],
+        ids=["el_residual", "conslaw", "autonomous", "oscillator", "weak"],
+    )
+    def test_one_right_derivative_per_series(self, call, monkeypatch):
+        calls = []
+        op = LG.rl_right
+
+        def counted(grid, o, y):
+            calls.append(y)
+            return op(grid, o, y)
+
+        monkeypatch.setattr(LG, "rl_right", counted)
+        grid = F.make_grid(0.0, 1.0, 32)
+        s = grid.nodes
+        x = F.make_trajectory(grid, np.stack([np.sin(s), s + s**2], axis=1))
+        u = F.make_trajectory(grid, np.sin(s))
+        call(PR.kappa_lagrangian(-1.0, dim=2), x, u)
+        assert len(calls) == 1
+
+    def test_quantity_modules_bind_no_fractional_derivative(self):
+        for module in (NO, SY):
+            for name in ("rl_right", "rl_left", "_LEFT_OPS"):
+                assert not hasattr(module, name), (module.__name__, name)

@@ -10,11 +10,11 @@ e = 1-alpha, gamma = Gamma(2-alpha).
 
 Only left-sided weight matrices are built here.  The right-sided operators
 are exactly the left ones flipped in both indices (the kernels mirror under
-s -> a + b - s).  Off column 0 each matrix is lower-triangular Toeplitz,
-so consumers need not apply it densely: the L1 derivative and the
-composition check apply their Toeplitz symbols with ``causal_convolve``,
-and the solver applies I_left @ I_right by two FFT convolutions with the
-integral symbol plus column-0 terms.
+s -> a + b - s).  Each is column 0 plus a lower-triangular Toeplitz
+symbol, filled by ``_lower_toeplitz`` and read back by ``toeplitz_parts``
+only.  The L1 derivative and the composition check apply their symbols
+with ``causal_convolve``, and the solver applies I_left @ I_right by two
+FFT convolutions with the integral symbol plus column-0 terms.
 
 ``causal_convolve`` computes out[k] = sum_{i<=k} b[k-i]*s[i].  Below
 ``FFT_MIN_NODES`` outputs it is ``np.convolve`` per component, O(N^2).
@@ -39,6 +39,7 @@ __all__ = [
     "causal_convolve",
     "integral_weights",
     "l1_weights",
+    "toeplitz_parts",
 ]
 
 # below this many outputs np.convolve is faster than the blocked form: the
@@ -126,6 +127,25 @@ def causal_convolve(b, s, blocks=None):
     return out[:, :n].T
 
 
+def _lower_toeplitz(column0, symbol):
+    """The n x n matrix with ``column0`` (length n) in column 0,
+    symbol[k - j] (symbol of length n - 1) at row k, column j for
+    1 <= j <= k, and zeros above the diagonal: one strided copy of windows
+    of the reversed, zero-padded symbol.  ``toeplitz_parts`` inverts it."""
+    n = column0.shape[0]
+    padded = np.concatenate([[0.0], symbol[::-1], np.zeros(n - 1)])
+    out = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1].copy()
+    out[:, 0] = column0
+    return out
+
+
+def toeplitz_parts(matrix):
+    """(column 0, symbol t[g] = matrix[N, N-g] for g < N) of an (N+1)^2
+    weight matrix of this module, as fresh O(N) arrays."""
+    n = matrix.shape[0]
+    return matrix[:, 0].copy(), matrix[n - 1, :0:-1].copy()
+
+
 def integral_weights(n, h, alpha, ga1):
     """Left fractional-integral weight matrix on n uniform nodes.
 
@@ -136,15 +156,7 @@ def integral_weights(n, h, alpha, ga1):
     are zero.
     """
     w = weight_profile(n, h, alpha, ga1)
-    v = np.zeros(n)
-    v[1 : n - 1] = (w[2:] + w[1 : n - 1]) * 0.5
-    out = np.zeros((n, n))
-    half_w1 = (0.0 + w[1]) * 0.5
-    for k in range(1, n):
-        out[k, 1:k] = v[1:k][::-1]
-        out[k, 0] = (w[k] + 0.0) * 0.5
-        out[k, k] = half_w1
-    return out
+    return _lower_toeplitz((w + 0.0) * 0.5, (w[1:] + w[:-1]) * 0.5)
 
 
 def l1_weights(n, h, alpha, g2):
@@ -159,12 +171,4 @@ def l1_weights(n, h, alpha, g2):
     slope form.  It is kept as the dense test oracle for that form.
     """
     b = weight_profile(n, h, 1.0 - alpha, g2)
-    u = np.zeros(n)
-    u[1 : n - 1] = (b[2:n] - b[1 : n - 1]) / h
-    out = np.zeros((n, n))
-    diag = (b[1] - 0.0) / h
-    for k in range(1, n):
-        out[k, 1:k] = u[1:k][::-1]
-        out[k, 0] = (0.0 - b[k]) / h
-        out[k, k] = diag
-    return out
+    return _lower_toeplitz((0.0 - b) / h, (b[1:] - b[:-1]) / h)

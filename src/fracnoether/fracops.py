@@ -13,7 +13,8 @@ Quadrature conventions
   of the matrix applied to a constant ``C`` therefore gives
   ``C * (t_k - a)**alpha / Gamma(1 + alpha)`` up to rounding.  The
   composition check applies the matrix by its column 0 and Toeplitz
-  symbol, with the causal convolution described next.
+  symbol (``_kernels.toeplitz_parts``), with the causal convolution
+  described next.
 * Caputo derivatives (L1 rule): ``x'`` is taken piecewise constant,
   ``(x[i+1] - x[i]) / h``, and the kernel ``(t - s)**(-alpha)`` is
   integrated exactly.  ``alpha = 1`` falls back to second-order finite
@@ -30,7 +31,7 @@ Quadrature conventions
 * Right-sided operators are mirror images of the left-sided ones: the right
   integral matrix is a view of the left one flipped in both indices (one
   fill, no copy), and a right derivative is the left derivative of the
-  reversed path, reversed.  For
+  reversed path, reversed: one routine computes all four derivatives.  For
   derivatives this carries the standard sign ``D_right = -I_right o d/dt``,
   so at ``alpha = 1`` the right derivative of ``t`` is ``-1``.
 * Riemann-Liouville derivatives are obtained from the Caputo ones by adding
@@ -38,6 +39,10 @@ Quadrature conventions
   ``x(boundary) * (distance to boundary)**(-alpha) / Gamma(1 - alpha)``.
   The node where the correction is singular (``t = a`` on the left,
   ``t = b`` on the right) is masked as undefined for ``alpha < 1``.
+* A derivative node is defined only if every input node it reads is: a
+  masked input masks itself and, for ``alpha < 1``, every later node
+  (earlier for right operators); at ``alpha = 1`` its neighbours, and the
+  end node if it is among the first or last four.
 
 All containers are immutable after construction (arrays are marked
 read-only) and safe to share across threads.
@@ -99,9 +104,6 @@ class Trajectory:
     dim: int
     values: np.ndarray = field(repr=False)
     mask: np.ndarray = field(repr=False)
-
-    def component(self, i: int) -> np.ndarray:
-        return self.values[:, i]
 
     def defined_values(self) -> np.ndarray:
         return self.values[self.mask]
@@ -177,19 +179,16 @@ def right_integral_matrix(grid: Grid, alpha) -> np.ndarray:
     return np.flip(left_integral_matrix(grid, alpha))
 
 
-def _check_grid(grid: Grid, x: Trajectory) -> None:
+def _derivative(grid: Grid, alpha, x: Trajectory, rl: bool, right: bool) -> Trajectory:
+    """The four derivatives, in the left frame (a right operator reverses
+    the path and its result).  Masked rows are read as 0; a node is defined
+    only if every node its stencil reads is (see the module docstring)."""
+    o = _order(alpha)
     if x.grid is not grid and not np.array_equal(x.grid.nodes, grid.nodes):
         raise ValueError("trajectory and operator live on different grids")
-
-
-def _clean_values(x: Trajectory) -> np.ndarray:
-    """Node values with masked rows replaced by zero (their quadrature
-    contribution is dropped rather than extrapolated)."""
-    return np.where(x.mask[:, None], x.values, 0.0)
-
-
-def _caputo_core(grid: Grid, o: FractionalOrder, vals: np.ndarray) -> np.ndarray:
-    """Left Caputo derivative of clean node values, in slope form."""
+    order = slice(None, None, -1) if right else slice(None)
+    mask = x.mask[order]
+    vals = np.where(mask[:, None], x.values[order], 0.0)
     h = grid.h
     s = (vals[1:] - vals[:-1]) / h
     if o.alpha == 1.0:
@@ -201,64 +200,43 @@ def _caputo_core(grid: Grid, o: FractionalOrder, vals: np.ndarray) -> np.ndarray
         else:
             out[0] = (3.0 * s[0] - s[1]) * 0.5
             out[-1] = (3.0 * s[-1] - s[-2]) * 0.5
-        return out
+        # the central difference reads k-1..k+1, an end stencil 3 or 4 nodes
+        defined = mask.copy()
+        defined[1:-1] &= mask[:-2] & mask[2:]
+        defined[[0, -1]] = np.all(mask[:4]), np.all(mask[-4:])
+        return make_trajectory(grid, out[order], mask=defined[order])
     # out[k] = sum_{i<k} W[k-i] * s[i] with the L1 profile W, by the exactly
     # causal convolution: W[0] = 0 keeps row 0 zero, zero slopes give zeros
-    return _kernels.profile_convolve(
+    out = _kernels.profile_convolve(
         grid.n_nodes, h, 1.0 - o.alpha, math.gamma(2.0 - o.alpha), s
     )
-
-
-def _rl_left_core(grid: Grid, o: FractionalOrder, vals: np.ndarray):
-    out = _caputo_core(grid, o, vals)
-    if o.alpha == 1.0:
-        return out, False
-    n = grid.n_nodes
-    corr = (np.arange(1, n) * grid.h) ** (-o.alpha) / math.gamma(1.0 - o.alpha)
-    out[1:] += corr[:, None] * vals[0]
-    out[0] = np.nan
-    return out, True
+    defined = np.logical_and.accumulate(mask)  # node k reads nodes 0..k
+    if rl:
+        corr = (np.arange(1, grid.n_nodes) * h) ** (-o.alpha) / math.gamma(1.0 - o.alpha)
+        out[1:] += corr[:, None] * vals[0]
+        defined[0] = False
+    return make_trajectory(grid, out[order], mask=defined[order])
 
 
 def caputo_left(grid: Grid, alpha, x: Trajectory) -> Trajectory:
     """Left Caputo derivative of a trajectory."""
-    o = _order(alpha)
-    _check_grid(grid, x)
-    out = _caputo_core(grid, o, _clean_values(x))
-    return make_trajectory(grid, out, mask=x.mask.copy())
+    return _derivative(grid, alpha, x, rl=False, right=False)
 
 
 def caputo_right(grid: Grid, alpha, x: Trajectory) -> Trajectory:
-    """Right Caputo derivative of a trajectory, evaluated as the left
-    derivative of the reversed path, reversed (standard sign: at alpha = 1
+    """Right Caputo derivative of a trajectory (standard sign: at alpha = 1
     this is minus the classical derivative)."""
-    o = _order(alpha)
-    _check_grid(grid, x)
-    out = _caputo_core(grid, o, _clean_values(x)[::-1])[::-1]
-    return make_trajectory(grid, out, mask=x.mask.copy())
+    return _derivative(grid, alpha, x, rl=False, right=True)
 
 
 def rl_left(grid: Grid, alpha, x: Trajectory) -> Trajectory:
     """Left Riemann-Liouville derivative; node 0 masked for alpha < 1."""
-    o = _order(alpha)
-    _check_grid(grid, x)
-    out, undefined = _rl_left_core(grid, o, _clean_values(x))
-    mask = x.mask.copy()
-    if undefined:
-        mask[0] = False
-    return make_trajectory(grid, out, mask=mask)
+    return _derivative(grid, alpha, x, rl=True, right=False)
 
 
 def rl_right(grid: Grid, alpha, x: Trajectory) -> Trajectory:
     """Right Riemann-Liouville derivative; node N masked for alpha < 1."""
-    o = _order(alpha)
-    _check_grid(grid, x)
-    out, undefined = _rl_left_core(grid, o, _clean_values(x)[::-1])
-    out = out[::-1]
-    mask = x.mask.copy()
-    if undefined:
-        mask[-1] = False
-    return make_trajectory(grid, out, mask=mask)
+    return _derivative(grid, alpha, x, rl=True, right=True)
 
 
 @dataclass(frozen=True)
@@ -266,25 +244,23 @@ class CompositionReport:
     """Interior-node sup residuals of the composition identities
     I^alpha(caputo(x)) = x - x(a)  and  I^alpha(rl(x)) = x."""
 
-    alpha: FractionalOrder
-    n_sub: int
     caputo_residual: float
     rl_residual: float
 
 
 def _apply_left_integral(integ: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """``integ @ vals`` for the left integral matrix, by its structure:
-    column 0 times the node-0 row, plus the causal convolution
-    (``_kernels.causal_convolve``) of the Toeplitz symbol
-    t[g] = integ[N, N-g] (g < N) with rows 1..N, all components at once.
+    """``integ @ vals`` for the left integral matrix, by its structure
+    (``_kernels.toeplitz_parts``): column 0 times the node-0 row, plus the
+    causal convolution (``_kernels.causal_convolve``) of the Toeplitz
+    symbol with rows 1..N, all components at once.
 
     This stays on one thread: a BLAS product of the dense matrix is memory
     bound, gains nothing from OpenBLAS's worker threads and leaves them
     spinning, so its speed follows the load on the other cores.
     """
-    n = integ.shape[0]
-    out = integ[:, :1] * vals[0]
-    out[1:] += _kernels.causal_convolve(integ[n - 1, :0:-1], vals[1:])
+    column0, symbol = _kernels.toeplitz_parts(integ)
+    out = column0[:, None] * vals[0]
+    out[1:] += _kernels.causal_convolve(symbol, vals[1:])
     return out
 
 
@@ -310,9 +286,4 @@ def check_composition(grid: Grid, alpha, x: Trajectory) -> CompositionReport:
     caputo_residual = float(np.max(np.abs(recon_cap - target_cap)[interior]))
     rl_residual = float(np.max(np.abs(recon_rl - x.values)[interior]))
 
-    return CompositionReport(
-        alpha=o,
-        n_sub=grid.n_sub,
-        caputo_residual=caputo_residual,
-        rl_residual=rl_residual,
-    )
+    return CompositionReport(caputo_residual=caputo_residual, rl_residual=rl_residual)

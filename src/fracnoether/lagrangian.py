@@ -258,7 +258,8 @@ class _Along:
 
     def right_of_momentum(self, p: np.ndarray) -> np.ndarray:
         """D_b- of the momentum series ``p`` = dL/dv, rows with a NaN
-        masked: the package's one D_b- outside ``fracops``."""
+        masked, and with them every node whose D_b- reads one: the
+        package's one D_b- outside ``fracops``."""
         rows = np.all(np.isfinite(p), axis=1)
         return rl_right(self.grid, self.o, make_trajectory(self.grid, p, mask=rows)).values
 
@@ -266,7 +267,7 @@ class _Along:
 def _el_residual(s: _Along) -> Trajectory:
     p = s.at("d_v")
     dp = s.right_of_momentum(p)
-    # only D_b-'s own undefined node is masked; a NaN partial raises
+    # nodes where D_b- p is undefined are masked; a NaN partial raises
     defined = np.all(np.isfinite(dp), axis=1) | ~np.all(np.isfinite(p), axis=1)
     return make_trajectory(s.grid, dp + s.at("d_x"), mask=defined)
 

@@ -20,8 +20,8 @@ Neither K nor the system matrix is formed.  Off column 0 the left integral
 matrix L is lower-triangular Toeplitz and the right one is J L J (J the
 reversal), so K X = L(J L(J X)): two applications of L, each a column-0
 term plus one ``numpy.fft`` convolution with the Toeplitz symbol, in
-O(N log N) time and O(N) memory.  ``assemble`` still reads the symbol and
-column 0 off the O(N^2) weight fill of ``right_integral_matrix``.
+O(N log N) time and O(N) memory.  ``assemble`` reads both with
+``_kernels.toeplitz_parts`` off the O(N^2) fill of ``right_integral_matrix``.
 
 ``solve`` runs restarted GMRES (modified Gram-Schmidt Arnoldi with Givens
 rotations) per component, right-preconditioned by a circulant stand-in
@@ -44,6 +44,7 @@ from typing import Union
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from ._kernels import toeplitz_parts
 from .fracops import (
     FractionalOrder,
     Grid,
@@ -224,9 +225,9 @@ def boundary_shape(grid: Grid, alpha) -> np.ndarray:
 def assemble(problem: LinearProblem) -> AssembledSystem:
     """The matrix-free system for the integral form of the problem.
 
-    The right integral matrix R = J L J holds L's symbol as its row 0 and
-    L's column 0 as its last column reversed; only those O(N) vectors, the
-    preconditioner and the right-hand sides are kept.
+    The right integral matrix is R = J L J, so ``_kernels.toeplitz_parts``
+    reads L's column 0 and symbol off its flip; only those O(N) vectors,
+    the preconditioner and the right-hand sides are kept.
 
     The preconditioner is P = I - kappa*C C^T, with C the optimal
     (T. Chan) N x N circulant of the symbol, c[g] = (N - g)/N * t[g]: a
@@ -236,13 +237,12 @@ def assemble(problem: LinearProblem) -> AssembledSystem:
     """
     grid = problem.grid
     n = grid.n_nodes
-    right = right_integral_matrix(grid, problem.alpha)
+    column0, symbol = toeplitz_parts(np.flip(right_integral_matrix(grid, problem.alpha)))
     # a power of two >= 2N leaves the first N entries of the cyclic
     # convolution free of wrap-around
     nfft = 1 << (2 * (n - 1) - 1).bit_length()
-    symbol_fft = np.fft.rfft(right[0, : n - 1], nfft)
-    column0 = right[::-1, n - 1].copy()
-    c = (n - 1 - np.arange(n - 1)) / (n - 1) * right[0, : n - 1]
+    symbol_fft = np.fft.rfft(symbol, nfft)
+    c = (n - 1 - np.arange(n - 1)) / (n - 1) * symbol
     d = 1.0 - problem.kappa * np.abs(np.fft.rfft(c)) ** 2
     precond = 1.0 / np.copysign(np.maximum(np.abs(d), PRECOND_FLOOR), d)
     s = boundary_shape(grid, problem.alpha)

@@ -497,3 +497,103 @@ class TestWeightProfileMemo:
         F.check_composition(g, 0.4, x)
         F.right_integral_matrix(g, 0.4)
         assert _kernels._profile.cache_info().misses == 2
+
+
+# ---------------------------------------------------------------------------
+# the one Toeplitz fill of the weight matrices and its reader
+
+
+def _integral_rows(n, h, alpha, ga1):
+    """Per-row reference build of ``_kernels.integral_weights``."""
+    w = _kernels.weight_profile(n, h, alpha, ga1)
+    v = np.zeros(n)
+    v[1 : n - 1] = (w[2:] + w[1 : n - 1]) * 0.5
+    out = np.zeros((n, n))
+    half_w1 = (0.0 + w[1]) * 0.5
+    for k in range(1, n):
+        out[k, 1:k] = v[1:k][::-1]
+        out[k, 0] = (w[k] + 0.0) * 0.5
+        out[k, k] = half_w1
+    return out
+
+
+def _l1_rows(n, h, alpha, g2):
+    """Per-row reference build of ``_kernels.l1_weights``."""
+    b = _kernels.weight_profile(n, h, 1.0 - alpha, g2)
+    u = np.zeros(n)
+    u[1 : n - 1] = (b[2:n] - b[1 : n - 1]) / h
+    out = np.zeros((n, n))
+    diag = (b[1] - 0.0) / h
+    for k in range(1, n):
+        out[k, 1:k] = u[1:k][::-1]
+        out[k, 0] = (0.0 - b[k]) / h
+        out[k, k] = diag
+    return out
+
+
+class TestToeplitzFill:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 400),
+        h=st.floats(1e-3, 10.0),
+        alpha=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_fills_match_row_reference_bitwise(self, n, h, alpha):
+        ga1 = math.gamma(alpha + 1.0)
+        assert _kernels.integral_weights(n, h, alpha, ga1).tobytes() == (
+            _integral_rows(n, h, alpha, ga1).tobytes()
+        )
+        if alpha < 1.0:
+            g2 = math.gamma(2.0 - alpha)
+            assert _kernels.l1_weights(n, h, alpha, g2).tobytes() == (
+                _l1_rows(n, h, alpha, g2).tobytes()
+            )
+
+    @pytest.mark.parametrize("n", (3, 4, 17, 200))
+    def test_parts_invert_the_fill(self, n):
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal(n)
+        s = rng.standard_normal(n - 1)
+        m = _kernels._lower_toeplitz(c, s)
+        assert np.all(np.triu(m, 1) == 0.0)
+        assert np.array_equal(np.diag(m)[1:], np.full(n - 1, s[0]))
+        column0, symbol = _kernels.toeplitz_parts(m)
+        assert column0.tobytes() == c.tobytes()
+        assert symbol.tobytes() == s.tobytes()
+        assert not np.shares_memory(column0, m) and not np.shares_memory(symbol, m)
+
+
+# ---------------------------------------------------------------------------
+# undefined input nodes: a derivative node is defined only if every node its
+# stencil reads is defined
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    op=st.sampled_from((F.caputo_left, F.caputo_right, F.rl_left, F.rl_right)),
+    n_sub=st.one_of(
+        st.integers(2, 60),
+        st.integers(_kernels.FFT_MIN_NODES - 3, _kernels.FFT_MIN_NODES + 100),
+    ),
+    alpha=st.one_of(st.just(1.0), st.floats(0.05, 0.95)),
+    where=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_masked_node_masks_exactly_the_nodes_that_read_it(op, n_sub, alpha, where, seed):
+    # oracle: node k reads node j iff its value changes, bit for bit, when
+    # x_j does; the masked node itself stays masked
+    g = F.make_grid(-1.0, 2.0, n_sub)
+    j = round(where * n_sub)
+    vals = np.random.default_rng(seed).standard_normal((g.n_nodes, 2))
+    base = op(g, alpha, F.make_trajectory(g, vals))
+    bumped_vals = vals.copy()
+    bumped_vals[j] += 1.0
+    bumped = op(g, alpha, F.make_trajectory(g, bumped_vals))
+    reads_j = np.any(base.values != bumped.values, axis=1)
+    mask = np.ones(g.n_nodes, dtype=bool)
+    mask[j] = False
+    got = op(g, alpha, F.make_trajectory(g, vals, mask=mask))
+    expected = base.mask & ~reads_j
+    expected[j] = False
+    assert np.array_equal(got.mask, expected)
+    assert got.values[expected].tobytes() == base.values[expected].tobytes()

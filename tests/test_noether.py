@@ -597,6 +597,21 @@ class TestWeakTheoremResidual:
         r = NO.weak_theorem_residual(L, SY.time_translation(), x, 0.5)
         assert not r.mask[-1] and np.all(r.mask[:-1])
 
+    def test_nan_momentum_masks_every_node_whose_right_derivative_reads_it(self):
+        # dL/dv is NaN where x < 0.3 (nodes 19-21); D_b- p at t reads p on
+        # [t, b], so nodes 0-21 are undefined, not computed with 0 for NaN
+        grid = F.make_grid(0.0, 1.0, 40)
+        x = F.make_trajectory(grid, np.abs(grid.nodes - 0.5) + 0.25)
+        L = LG.make_lagrangian(
+            1,
+            eval=lambda t, x, v: 0.5 * v[..., 0] ** 2 * PR.guarded_power(x[..., 0] - 0.3, 0.5),
+        )
+        for g in (SY.time_translation(), SY.dilation(-1.0)):
+            r = NO.weak_theorem_residual(L, g, x, 0.5)
+            assert np.flatnonzero(~r.mask).tolist() == list(range(23)) + [40]
+        with pytest.raises(ValueError, match="non-finite trajectory value at node 19"):
+            LG.el_residual(L, x, 0.5)
+
 
 class TestSinglePath:
     # every series takes D_b- of the momentum through _Along.right_of_momentum,

@@ -39,7 +39,9 @@ from . import presets as PR
 from . import solver as SV
 from . import symmetry as SY
 from .config import (
+    BCS,
     DEFAULT_GROUP_TOLERANCE,
+    GROUPS,
     ConfigError,
     RunConfig,
     load_config,
@@ -107,12 +109,8 @@ def _grid(config: RunConfig):
 
 
 def _boundary(config: RunConfig):
-    half = config.dim
-    head = np.array(config.bc_data[:half])
-    tail = np.array(config.bc_data[half:])
-    if config.bc_kind == "dirichlet":
-        return SV.dirichlet(head, tail)
-    return SV.initial(head, tail)
+    data = np.array(config.bc_data)
+    return BCS[config.bc_kind](data[: config.dim], data[config.dim :])
 
 
 def _lagrangian(config: RunConfig, alpha):
@@ -124,17 +122,7 @@ def _lagrangian(config: RunConfig, alpha):
 
 
 def _make_group(config: RunConfig):
-    params = config.group_params
-    if config.group == "time_translation":
-        return SY.time_translation()
-    if config.group == "dilation":
-        return SY.dilation(params[0] if params else 1.0)
-    if config.group == "space_only":
-        return SY.space_rotation()
-    if config.group == "localized_dilation":
-        base = params[1] if len(params) > 1 else config.interval[0]
-        return SY.localized_dilation(params[0], base)
-    return SY.quadratic_time()
+    return GROUPS[config.group][2](config.group_params, config.interval[0])
 
 
 def _trajectory(config: RunConfig, alpha):

@@ -3,9 +3,12 @@
 The file format is deliberately minimal: one assignment per line,
 ``#`` starts a comment, lists are comma-separated.  Every recognized
 key maps to a RunConfig field; unknown and duplicate keys are errors so
-that a typo cannot silently fall back to a default.
+that a typo cannot silently fall back to a default, and every number
+must be finite.
 
-Problem presets fix most of the physics:
+Each run choice is named once, in a table that the CLI reads:
+``PROBLEMS`` (dimension and default ``bc``), ``BCS`` (boundary kind ->
+solver constructor) and ``GROUPS`` (parameter counts and constructor).
 
 * ``harmonic2d`` — two-component quadratic problem with kappa = -1 and
   Dirichlet data (1, 2) -> (2, 1) unless ``bc`` overrides it.
@@ -15,12 +18,13 @@ Problem presets fix most of the physics:
   trajectory q = (t, t^2); there is no linear solve for it.
 * ``custom`` — quadratic problem with explicit ``kappa`` and ``bc``.
 
-``bc`` is a single comma list: a type tag followed by the stacked node
+``bc`` is a single comma list: a kind followed by the stacked node
 data, e.g. ``bc = dirichlet, 1, 2, 2, 1`` (xa then xb, so the dimension
 is half the number count) or ``bc = initial, 0, 1`` (u0 then du0).
 
 ``group`` is a name with optional parameters: ``time_translation``,
-``dilation[, c]``, ``space_only``, ``localized_dilation, lam[, a]``,
+``dilation[, c]`` (c = 1 by default), ``space_only`` (2 components),
+``localized_dilation, lam[, a]`` (a = the interval start by default),
 ``quadratic_time``.
 """
 
@@ -30,14 +34,28 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-PROBLEMS = ("harmonic2d", "oscillator", "example2", "custom")
-GROUPS = (
-    "time_translation",
-    "dilation",
-    "space_only",
-    "localized_dilation",
-    "quadratic_time",
-)
+from . import solver, symmetry
+
+# name -> (dimension, or None for any; default bc as (kind, data), or
+# None when bc is required).  example2 runs on its preset trajectory and
+# takes no bc.
+PROBLEMS = {
+    "harmonic2d": (2, ("dirichlet", (1.0, 2.0, 2.0, 1.0))),
+    "oscillator": (1, ("initial", (0.0, 1.0))),
+    "example2": (2, ("none", ())),
+    "custom": (None, None),
+}
+BCS = {"dirichlet": solver.dirichlet, "initial": solver.initial}
+# name -> (fewest parameters, most parameters, constructor from the
+# parameters p and the interval start a); the first is the default, and
+# an omitted optional parameter takes the value after p: c = 1, base a
+GROUPS = {
+    "time_translation": (0, 0, lambda p, a: symmetry.time_translation()),
+    "dilation": (0, 1, lambda p, a: symmetry.dilation((*p, 1.0)[0])),
+    "space_only": (0, 0, lambda p, a: symmetry.space_rotation()),
+    "localized_dilation": (1, 2, lambda p, a: symmetry.localized_dilation(p[0], (*p, a)[1])),
+    "quadratic_time": (0, 0, lambda p, a: symmetry.quadratic_time()),
+}
 QUANTITIES = ("noether", "autonomous", "oscillator", "q")
 VARIANTS = ("conslaw", "conslaw2")
 CONVENTIONS = ("caputo", "rl")
@@ -106,17 +124,44 @@ def _float(pairs, key):
     return value
 
 
-def _float_list(pairs, key):
-    items = [s.strip() for s in pairs[key].split(",")]
+def _numbers(pairs, key, items):
+    """The non-empty entries of ``items``, taken from ``key``'s value, as
+    finite floats."""
     try:
         values = tuple(float(s) for s in items if s)
     except ValueError:
         raise ConfigError(f"key {key!r}: not a number list: {pairs[key]!r}") from None
-    if not values:
-        raise ConfigError(f"key {key!r}: empty list")
-    if not all(math.isfinite(v) for v in values):
+    if not all(map(math.isfinite, values)):
         raise ConfigError(f"key {key!r}: entries must be finite")
     return values
+
+
+def _float_list(pairs, key):
+    values = _numbers(pairs, key, [s.strip() for s in pairs[key].split(",")])
+    if not values:
+        raise ConfigError(f"key {key!r}: empty list")
+    return values
+
+
+def _tagged(pairs, key, tags):
+    """``tag, n1, n2, ...`` as (tag, numbers), the tag one of ``tags``;
+    the first tag and no numbers when the key is absent."""
+    if key not in pairs:
+        return next(iter(tags)), ()
+    tag, *items = [s.strip() for s in pairs[key].split(",")]
+    return _choice({key: tag}, key, tags), _numbers(pairs, key, items)
+
+
+def _problem_number(pairs, key, problem, owner):
+    """``key``'s number: required by its owner problem, not meaningful for
+    any other (None there)."""
+    if problem != owner:
+        if key in pairs:
+            raise ConfigError(f"key {key!r} is not meaningful for problem {problem!r}")
+        return None
+    if key not in pairs:
+        raise ConfigError(f"missing key {key!r} (required for the {owner} problem)")
+    return _float(pairs, key)
 
 
 def _int(pairs, key):
@@ -136,7 +181,8 @@ def _bool(pairs, key):
 
 
 def _choice(pairs, key, allowed):
-    value = pairs[key]
+    """``key``'s value, one of ``allowed``; the first when the key is absent."""
+    value = pairs.get(key, next(iter(allowed)))
     if value not in allowed:
         raise ConfigError(
             f"key {key!r}: expected one of {', '.join(allowed)}; got {value!r}"
@@ -163,11 +209,6 @@ _KNOWN_KEYS = frozenset(
     }
 )
 
-_DEFAULT_BC = {
-    "harmonic2d": ("dirichlet", (1.0, 2.0, 2.0, 1.0)),
-    "oscillator": ("initial", (0.0, 1.0)),
-}
-
 
 def make_config(pairs: dict) -> RunConfig:
     """Validate a parsed key dict into a RunConfig."""
@@ -189,95 +230,46 @@ def make_config(pairs: dict) -> RunConfig:
     if n_sub < 2:
         raise ConfigError(f"key 'n_sub': must be >= 2, got {n_sub}")
 
-    if "interval" in pairs:
-        interval = _float_list(pairs, "interval")
-        if len(interval) != 2 or not interval[0] < interval[1]:
-            raise ConfigError(
-                f"key 'interval': expected 'a, b' with a < b, got {pairs['interval']!r}"
-            )
-    else:
-        interval = (0.0, 1.0)
+    interval = _float_list(pairs, "interval") if "interval" in pairs else (0.0, 1.0)
+    if len(interval) != 2 or not interval[0] < interval[1]:
+        raise ConfigError(
+            f"key 'interval': expected 'a, b' with a < b, got {pairs['interval']!r}"
+        )
     if problem == "example2" and interval[0] < 0.0:
         raise ConfigError(
             "key 'interval': problem 'example2' needs a >= 0, "
             f"got {pairs['interval']!r}"
         )
 
-    omega = None
-    if problem == "oscillator":
-        if "omega" not in pairs:
-            raise ConfigError("missing key 'omega' (required for the oscillator problem)")
-        omega = _float(pairs, "omega")
-        if omega <= 0.0:
-            raise ConfigError(f"key 'omega': must be positive, got {omega}")
-    elif "omega" in pairs:
-        raise ConfigError(f"key 'omega' is not meaningful for problem {problem!r}")
+    omega = _problem_number(pairs, "omega", problem, "oscillator")
+    if omega is not None and omega <= 0.0:
+        raise ConfigError(f"key 'omega': must be positive, got {omega}")
+    kappa = _problem_number(pairs, "kappa", problem, "custom")
+    if kappa is None:
+        kappa = -1.0 if omega is None else -(omega**2)
 
-    if problem == "custom":
-        if "kappa" not in pairs:
-            raise ConfigError("missing key 'kappa' (required for the custom problem)")
-        kappa = _float(pairs, "kappa")
-    elif "kappa" in pairs:
-        raise ConfigError(f"key 'kappa' is not meaningful for problem {problem!r}")
-    elif problem == "oscillator":
-        kappa = -(omega**2)
-    else:
-        kappa = -1.0
-
-    if problem == "example2":
-        if "bc" in pairs:
+    dim, bc = PROBLEMS[problem]
+    if "bc" in pairs:
+        if problem == "example2":
             raise ConfigError("key 'bc' is not meaningful for problem 'example2'")
-        bc_kind, bc_data, dim = "none", (), 2
-    else:
-        if "bc" in pairs:
-            items = [s.strip() for s in pairs["bc"].split(",")]
-            if not items or items[0] not in ("dirichlet", "initial"):
-                raise ConfigError(
-                    f"key 'bc': expected 'dirichlet, ...' or 'initial, ...', got {pairs['bc']!r}"
-                )
-            bc_kind = items[0]
-            try:
-                bc_data = tuple(float(s) for s in items[1:] if s)
-            except ValueError:
-                raise ConfigError(f"key 'bc': not a number list: {pairs['bc']!r}") from None
-            if len(bc_data) < 2 or len(bc_data) % 2:
-                raise ConfigError(
-                    "key 'bc': data must hold two stacked vectors "
-                    f"(even count >= 2), got {len(bc_data)} numbers"
-                )
-        elif problem in _DEFAULT_BC:
-            bc_kind, bc_data = _DEFAULT_BC[problem]
-        else:
-            raise ConfigError("missing key 'bc' (required for the custom problem)")
-        dim = len(bc_data) // 2
-        fixed = {"harmonic2d": 2, "oscillator": 1}.get(problem)
-        if fixed is not None and dim != fixed:
+        bc = _tagged(pairs, "bc", BCS)
+        if len(bc[1]) < 2 or len(bc[1]) % 2:
             raise ConfigError(
-                f"key 'bc': problem {problem!r} is {fixed}-dimensional, "
-                f"but the data describes {dim} components"
+                "key 'bc': data must hold two stacked vectors "
+                f"(even count >= 2), got {len(bc[1])} numbers"
             )
+    elif bc is None:
+        raise ConfigError(f"missing key 'bc' (required for the {problem} problem)")
+    bc_kind, bc_data = bc
+    if bc_data and dim not in (None, len(bc_data) // 2):
+        raise ConfigError(
+            f"key 'bc': problem {problem!r} is {dim}-dimensional, "
+            f"but the data describes {len(bc_data) // 2} components"
+        )
+    dim = dim or len(bc_data) // 2
 
-    if "group" in pairs:
-        items = [s.strip() for s in pairs["group"].split(",")]
-        group = items[0]
-        if group not in GROUPS:
-            raise ConfigError(
-                f"key 'group': expected one of {', '.join(GROUPS)}; got {group!r}"
-            )
-        try:
-            group_params = tuple(float(s) for s in items[1:] if s)
-        except ValueError:
-            raise ConfigError(f"key 'group': bad parameter list: {pairs['group']!r}") from None
-    else:
-        group, group_params = "time_translation", ()
-    limits = {
-        "time_translation": (0, 0),
-        "dilation": (0, 1),
-        "space_only": (0, 0),
-        "localized_dilation": (1, 2),
-        "quadratic_time": (0, 0),
-    }
-    lo, hi = limits[group]
+    group, group_params = _tagged(pairs, "group", GROUPS)
+    lo, hi, _ = GROUPS[group]
     if not lo <= len(group_params) <= hi:
         raise ConfigError(
             f"key 'group': {group} takes between {lo} and {hi} parameters, "
@@ -288,11 +280,10 @@ def make_config(pairs: dict) -> RunConfig:
             "key 'group': the space_only rotation acts on 2-component problems"
         )
 
-    if "quantity" in pairs:
-        quantity = _choice(pairs, "quantity", QUANTITIES)
-    else:
-        quantity = "oscillator" if problem == "oscillator" else "noether"
-    if quantity == "oscillator" and problem != "oscillator":
+    quantity = _choice(pairs, "quantity", QUANTITIES)
+    if problem == "oscillator" and "quantity" not in pairs:
+        quantity = "oscillator"
+    elif quantity == "oscillator" and problem != "oscillator":
         raise ConfigError(
             "key 'quantity': the oscillator quantity requires the oscillator problem"
         )
@@ -306,16 +297,8 @@ def make_config(pairs: dict) -> RunConfig:
     if tolerance <= 0.0:
         raise ConfigError(f"key 'drift_tolerance': must be positive, got {tolerance}")
 
-    variant = (
-        _choice(pairs, "conslaw_variant", VARIANTS)
-        if "conslaw_variant" in pairs
-        else "conslaw"
-    )
-    convention = (
-        _choice(pairs, "derivative_convention", CONVENTIONS)
-        if "derivative_convention" in pairs
-        else "caputo"
-    )
+    variant = _choice(pairs, "conslaw_variant", VARIANTS)
+    convention = _choice(pairs, "derivative_convention", CONVENTIONS)
     outputs = pairs.get("outputs", "out")
     if not outputs:
         raise ConfigError("key 'outputs': empty path")

@@ -247,9 +247,11 @@ class _Along:
     def left(self, values: np.ndarray) -> np.ndarray:
         """D_a+ of a further node series, in the convention of D_a+ x.  An
         all-zero series skips the apply: both conventions map it to +0.0,
-        NaN where D_a+ x is undefined."""
+        NaN where D_a+ x is undefined; x itself returns D_a+ x."""
         if not np.any(values):
             return np.where(np.isnan(self.dxa), np.nan, 0.0)
+        if np.array_equal(values, self.x.values):
+            return self.dxa
         return self._op(self.grid, self.o, make_trajectory(self.grid, values)).values
 
     def at(self, name: str) -> np.ndarray:

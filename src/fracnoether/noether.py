@@ -33,10 +33,12 @@ Conventions (named in every series' ``context``):
   zeta - zeta(a), so it is exactly 0 for a constant zeta.
 * Input trajectories must be fully defined; masking enters only through
   operator boundary rows or out-of-domain Lagrangian evaluations (NaN
-  from the evaluators).  A masked integrand node contributes nothing to
-  the cumulative panels; the node-N value of a quantity is itself masked
-  when its final panel was incomplete.  A product with an undefined
-  factor is undefined even against a zero factor.
+  from the evaluators).  The cumulative integral at node k reads the
+  integrand at nodes 0..k, so a masked integrand node masks the quantity
+  there and at every later node.  Node 0 is the integral's zero
+  endpoint: a masked integrand there (the rl convention's undefined
+  node 0) contributes nothing and masks nothing.  A product with an
+  undefined factor is undefined even against a zero factor.
 
 Evaluators are expected to propagate NaN inputs to NaN outputs (the
 stock Lagrangians do); a NaN row in an ingredient series marks the node
@@ -138,8 +140,9 @@ def _quantity(s: _Along, g: GroupSpec, variant: str, context: str) -> QuantitySe
 
     boundary = lvals * zeta
     values = boundary + _cumtrapz_masked(integrand, fmask, h)
+    # node k integrates over nodes 0..k; node 0 is the zero endpoint
     mask = np.isfinite(boundary)
-    mask[-1] = mask[-1] and fmask[-1]
+    mask[1:] &= np.logical_and.accumulate(fmask[1:])
     return make_series(
         s.grid, np.where(mask, values, np.nan), mask=mask, context=context
     )

@@ -11,8 +11,9 @@ import fracnoether.noether as NO
 import fracnoether.presets as PR
 import fracnoether.solver as SV
 import fracnoether.symmetry as SY
+from fracnoether import cli
 from fracnoether.cli import main
-from fracnoether.config import ConfigError, make_config, parse_pairs
+from fracnoether.config import BCS, GROUPS, PROBLEMS, ConfigError, make_config, parse_pairs
 
 HARMONIC = """
 problem = harmonic2d
@@ -200,6 +201,74 @@ class TestMakeConfig:
             make_config(self.base(expected_conserved="maybe"))
         with pytest.raises(ConfigError, match="drift_tolerance"):
             make_config(self.base(drift_tolerance="-1"))
+
+    @pytest.mark.parametrize("name", list(GROUPS))
+    def test_each_group_builds_at_its_parameter_limits(self, name):
+        lo, hi, _ = GROUPS[name]
+        for count in (lo, hi):
+            config = make_config(self.base(group=", ".join([name] + ["0.5"] * count)))
+            assert config.group_params == (0.5,) * count
+            assert isinstance(cli._make_group(config), SY.GroupSpec)
+        with pytest.raises(ConfigError, match="parameters"):
+            make_config(self.base(group=", ".join([name] + ["0.5"] * (hi + 1))))
+
+    def test_group_parameter_defaults(self):
+        assert make_config(self.base()).group == next(iter(GROUPS))
+        assert cli._make_group(make_config(self.base(group="dilation"))).lam == 1.0
+        config = make_config(self.base(interval="2, 3", group="localized_dilation, 0.4"))
+        # the dilation fixes the interval start
+        assert cli._make_group(config).phi0(0.7, 2.0) == 2.0
+
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_each_problem_default_has_the_table_dimension(self, name):
+        extra = {
+            "oscillator": {"omega": "1"},
+            "custom": {"kappa": "1", "bc": "initial, 0, 0, 0, 1, 1, 1"},
+        }
+        config = make_config(
+            {"problem": name, "alphas": "0.5", "n_sub": "10", **extra.get(name, {})}
+        )
+        dim, bc = PROBLEMS[name]
+        assert config.dim == (dim or 3)
+        if bc is not None:
+            assert (config.bc_kind, config.bc_data) == bc
+
+    @pytest.mark.parametrize("kind", list(BCS))
+    def test_each_boundary_kind_builds_its_solver_data(self, kind):
+        config = make_config(
+            {"problem": "custom", "kappa": "1", "alphas": "0.5", "n_sub": "10", "bc": f"{kind}, 1, 2"}
+        )
+        bc = cli._boundary(config)
+        assert type(bc) is type(BCS[kind]([1.0], [2.0]))
+        assert [float(v[0]) for v in vars(bc).values()] == [1.0, 2.0]
+
+    def test_unknown_boundary_kind(self):
+        with pytest.raises(ConfigError, match="expected one of dirichlet, initial; got 'neumann'"):
+            make_config(self.base(bc="neumann, 1, 2, 2, 1"))
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            (
+                "solve",
+                "problem = custom\nkappa = -1\nalphas = 0.5\nn_sub = 20\n"
+                "bc = dirichlet, nan, 1\n",
+                "bc",
+            ),
+            (
+                "check",
+                "problem = example2\nalphas = 0.5\nn_sub = 20\ngroup = dilation, inf\n",
+                "group",
+            ),
+        ],
+        ids=["bc-nan", "group-inf"],
+    )
+    def test_non_finite_numbers_exit_1(self, tmp_path, capsys, command, text, key):
+        cfg = write_config(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        out = capsys.readouterr()
+        assert out.err == f"config error: key {key!r}: entries must be finite\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestSolveCommand:

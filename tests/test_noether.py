@@ -613,6 +613,33 @@ class TestWeakTheoremResidual:
             LG.el_residual(L, x, 0.5)
 
 
+class TestMaskedIntegrand:
+    def test_quantity_undefined_from_first_masked_integrand_node(self):
+        # dL/dv is NaN where x < 0.3 (nodes 19-21), so the conslaw
+        # integrand is masked at nodes 0-22 and the cumulative integral at
+        # every node k >= 1 reads a masked node; node 0 is L alone
+        grid = F.make_grid(0.0, 1.0, 40)
+        x = F.make_trajectory(grid, np.abs(grid.nodes - 0.5) + 0.25)
+        L = LG.make_lagrangian(
+            1,
+            eval=lambda t, x, v: 0.5 * v[..., 0] ** 2 * PR.guarded_power(x[..., 0] - 0.3, 0.5),
+        )
+        q = NO.noether_quantity(L, SY.time_translation(), x, 0.5)
+        assert np.flatnonzero(q.mask).tolist() == [0]
+        assert np.all(np.isnan(q.values[1:]))
+        # conslaw2 needs no right derivative: nodes 0-17 stay defined
+        q2 = NO.noether_quantity(L, SY.time_translation(), x, 0.5, variant="conslaw2")
+        assert np.flatnonzero(q2.mask).tolist() == list(range(18))
+
+    def test_rl_masked_node_zero_is_the_zero_endpoint(self):
+        # the rl convention leaves D_a+ and so the integrand undefined at
+        # node 0 only; the quantity stays defined at every later node
+        L = PR.kappa_lagrangian(-1.0, dim=2)
+        x = solve_quadratic(32, 0.5)
+        q = NO.noether_quantity(L, SY.time_translation(), x, 0.5, convention="rl")
+        assert np.all(q.mask[1:-1])
+
+
 class TestSinglePath:
     # every series takes D_b- of the momentum through _Along.right_of_momentum,
     # the one rl_right call outside fracops

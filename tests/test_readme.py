@@ -5,6 +5,7 @@ import re
 import textwrap
 
 import fracnoether as fn
+from fracnoether import config
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +33,19 @@ def test_examples_run_and_match_their_comments(capsys):
     printed = capsys.readouterr().out.split()
     assert [float(v) for v in printed] == [fractional, classical]
     assert isinstance(namespace["L"], fn.LagrangianSpec)
+
+
+def config_key_rows():
+    """The README's configuration-key table as {key: meaning}."""
+    section = README.read_text().split("### Configuration keys", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, re.MULTILINE)
+    return dict(rows)
+
+
+def test_config_table_names_every_accepted_key():
+    assert set(config_key_rows()) == config._KNOWN_KEYS
+
+
+def test_group_row_names_every_group():
+    names = re.findall(r"`(\w+)[^`]*`", config_key_rows()["group"])
+    assert names == list(config.GROUPS)

@@ -303,6 +303,35 @@ class TestInvariance:
             default.max_violation, rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "group, applies",
+        [(G.time_translation(), 1), (G.dilation(0.5), 1), (G.space_rotation(), 5)],
+        ids=["translation", "dilation", "rotation"],
+    )
+    def test_identity_space_map_reuses_the_left_derivative_of_x(
+        self, group, applies, monkeypatch
+    ):
+        # a space map that leaves x unchanged needs no apply per s sample:
+        # D_a+ of x is the one taken for the reference action
+        calls = []
+        op = Lmod._LEFT_OPS["caputo"]
+
+        def counted(grid, o, y):
+            calls.append(y)
+            return op(grid, o, y)
+
+        monkeypatch.setitem(Lmod._LEFT_OPS, "caputo", counted)
+        _, traj = smooth_trajectory()
+        G.check_invariance(quadratic_lagrangian(), group, traj, 0.5)
+        assert len(calls) == applies
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_left_of_x_is_bit_identical_to_an_apply(self, alpha):
+        grid, traj = smooth_trajectory()
+        along = Lmod._Along(quadratic_lagrangian(), traj, alpha, "test")
+        applied = F.caputo_left(grid, alpha, F.make_trajectory(grid, traj.values.copy()))
+        assert along.left(traj.values.copy()).tobytes() == applied.values.tobytes()
+
     def test_fixed_base_rejects_moving_base_point(self):
         _, traj = smooth_trajectory()
         with pytest.raises(ValueError, match="phi0_s\\(a\\) = a"):

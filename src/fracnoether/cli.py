@@ -20,7 +20,7 @@ Orders in a sweep run one after another, in ascending order, and their
 files are written in that order.  Values are serialized with 17
 significant digits and masked nodes as empty fields; every file starts
 with ``#`` comment lines recording the problem, the operator
-conventions, and the tolerances in force.
+conventions the command used, and the tolerances in force.
 """
 
 from __future__ import annotations
@@ -58,6 +58,13 @@ def _alpha_tag(alpha: float) -> str:
     return format(float(alpha), "g")
 
 
+def _convention(config: RunConfig, command: str) -> str:
+    """The D_a+ convention that ``command`` evaluates with."""
+    if command == "noether" and config.quantity in ("noether", "autonomous"):
+        return config.derivative_convention
+    return "caputo"
+
+
 def _comment_lines(config: RunConfig, command: str, alpha=None):
     problem = f"# problem = {config.problem}; interval = [{config.interval[0]:g}, {config.interval[1]:g}]; n_sub = {config.n_sub}"
     if config.problem != "example2":
@@ -67,7 +74,7 @@ def _comment_lines(config: RunConfig, command: str, alpha=None):
     lines = [
         f"# fracnoether {command}",
         problem,
-        f"# conventions: D_a+ = {config.derivative_convention}, D_b- = rl; "
+        f"# conventions: D_a+ = {_convention(config, command)}, D_b- = rl; "
         "classical derivatives by central differences",
         f"# tolerances: drift {config.drift_tolerance:g}; "
         f"group laws {DEFAULT_GROUP_TOLERANCE:g}; "
@@ -196,11 +203,7 @@ def cmd_noether(config: RunConfig) -> int:
         for a in sorted(set(config.alphas))
     }
     os.makedirs(config.outputs, exist_ok=True)
-    convention = (
-        config.derivative_convention
-        if config.quantity in ("noether", "autonomous")
-        else "caputo"
-    )
+    convention = _convention(config, "noether")
     summary = []
     offenders = []
     for alpha, series in results.items():

@@ -13,7 +13,7 @@ solver constructor) and ``GROUPS`` (parameter counts and constructor).
 * ``harmonic2d`` — two-component quadratic problem with kappa = -1 and
   Dirichlet data (1, 2) -> (2, 1) unless ``bc`` overrides it.
 * ``oscillator`` — scalar problem with kappa = -omega^2 and initial
-  data u(a) = 0, u'(a) = 1; requires ``omega``.
+  data u(a) = 0, u'(a) = 1; requires ``omega``, with omega^2 finite.
 * ``example2`` — the planar homogeneous Lagrangian with its preset
   trajectory q = (t, t^2); there is no linear solve for it.
 * ``custom`` — quadratic problem with explicit ``kappa`` and ``bc``.
@@ -244,6 +244,8 @@ def make_config(pairs: dict) -> RunConfig:
     omega = _problem_number(pairs, "omega", problem, "oscillator")
     if omega is not None and omega <= 0.0:
         raise ConfigError(f"key 'omega': must be positive, got {omega}")
+    if omega is not None and not math.isfinite(omega * omega):
+        raise ConfigError(f"key 'omega': omega**2 must be finite, got {omega}")
     kappa = _problem_number(pairs, "kappa", problem, "custom")
     if kappa is None:
         kappa = -1.0 if omega is None else -(omega**2)

@@ -23,12 +23,13 @@ term plus one ``numpy.fft`` convolution with the Toeplitz symbol, in
 O(N log N) time and O(N) memory.  ``assemble`` reads both with
 ``_kernels.toeplitz_parts`` off the O(N^2) fill of ``right_integral_matrix``.
 
-``solve`` runs restarted GMRES (modified Gram-Schmidt Arnoldi with Givens
-rotations) per component, right-preconditioned by a circulant stand-in
-for I - kappa*K that one FFT pair inverts.  It stops at a normwise
-backward error of TOL and raises NumericalFailure when the solution is not
-finite, when GMRES misses TOL within MAX_ITERATIONS steps, or when the
-relative residual ||b - A x|| / ||b|| exceeds RESIDUAL_MAX.  The last gate
+``assemble`` decides the boundary kind once.  ``solve`` runs restarted GMRES
+(modified Gram-Schmidt Arnoldi with Givens rotations) per component on the
+system's ``apply`` and ``precondition``, a circulant stand-in for I - kappa*K
+that one FFT pair inverts.  It stops at a normwise backward error of TOL
+and raises NumericalFailure when the solution is not finite, when GMRES
+misses TOL within MAX_ITERATIONS steps, or when the relative residual
+||b - A x|| / ||b|| exceeds RESIDUAL_MAX.  The last gate
 is the one a nearly singular system trips: its solution is huge, so the
 backward error is tiny while the residual is of the size of the data.
 The condition estimate ||A|| ||x|| / ||b|| (with a lower bound on ||A||)
@@ -38,8 +39,7 @@ is a lower bound on the condition number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -70,17 +70,15 @@ class NumericalFailure(RuntimeError):
     """Raised when the assembled system is singular or numerically unusable."""
 
 
-def _as_vector(v, dim, name):
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
-    if arr.shape != (dim,):
-        raise ValueError(f"{name} must have length {dim}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
+@dataclass(frozen=True)
+class _BoundaryData:
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, np.atleast_1d(np.asarray(getattr(self, f.name), dtype=float)))
 
 
 @dataclass(frozen=True)
-class DirichletBC:
+class DirichletBC(_BoundaryData):
     """Boundary values x(a) = xa, x(b) = xb."""
 
     xa: np.ndarray
@@ -88,7 +86,7 @@ class DirichletBC:
 
 
 @dataclass(frozen=True)
-class InitialBC:
+class InitialBC(_BoundaryData):
     """Initial values x(a) = u0, x'(a) = du0 (imposed by a first-order
     one-sided difference row)."""
 
@@ -96,16 +94,8 @@ class InitialBC:
     du0: np.ndarray
 
 
-def dirichlet(xa, xb) -> DirichletBC:
-    xa = np.atleast_1d(np.asarray(xa, dtype=float))
-    xb = np.atleast_1d(np.asarray(xb, dtype=float))
-    return DirichletBC(xa=xa, xb=xb)
-
-
-def initial(u0, du0) -> InitialBC:
-    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    du0 = np.atleast_1d(np.asarray(du0, dtype=float))
-    return InitialBC(u0=u0, du0=du0)
+dirichlet = DirichletBC
+initial = InitialBC
 
 
 @dataclass(frozen=True)
@@ -116,7 +106,7 @@ class LinearProblem:
     alpha: FractionalOrder
     dim: int
     kappa: float
-    bc: Union[DirichletBC, InitialBC]
+    bc: DirichletBC | InitialBC
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _order(self.alpha))
@@ -124,20 +114,26 @@ class LinearProblem:
         if not math.isfinite(kappa):
             raise ValueError("kappa must be finite")
         object.__setattr__(self, "kappa", kappa)
-        if isinstance(self.bc, DirichletBC):
-            _as_vector(self.bc.xa, self.dim, "xa")
-            _as_vector(self.bc.xb, self.dim, "xb")
-        elif isinstance(self.bc, InitialBC):
-            _as_vector(self.bc.u0, self.dim, "u0")
-            _as_vector(self.bc.du0, self.dim, "du0")
-        else:
+        if not isinstance(self.bc, (DirichletBC, InitialBC)):
             raise TypeError(f"unsupported boundary condition {self.bc!r}")
+        for f in fields(self.bc):
+            v = getattr(self.bc, f.name)
+            if v.shape != (self.dim,):
+                raise ValueError(f"{f.name} must have length {self.dim}, got shape {v.shape}")
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """The system matrix A as an operator, with its preconditioner and the
-    per-component right-hand sides.
+    """All that ``solve`` reads: the system matrix A as an operator, its
+    preconditioner, and what ``assemble`` decided once from the boundary
+    kind.  ``rhs`` holds the per-component right-hand sides; ``start`` the
+    interpolant (1 - S)*x(a) + S*x(b), with x(b) = 0 for initial data, which
+    meets the unit data rows of A and P exactly, so every GMRES correction
+    is zero there; ``free`` the count of preconditioned rows (N - 1 for
+    Dirichlet data, N for initial data); ``anorm`` <= ||A||_inf the larger
+    of ||A 1|| and a data row's (1) or the difference row's (2/h) row sum.
 
     ``symbol_fft`` is the real FFT of the Toeplitz symbol t[g] = L[N, N-g]
     (g < N) of the left integral matrix L, zero-padded so that the
@@ -152,6 +148,10 @@ class AssembledSystem:
     shape: np.ndarray = field(repr=False)
     precond: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
+    start: np.ndarray = field(repr=False)
+    free: int
+    anorm: float
+    context: str
 
     def _left(self, v: np.ndarray) -> np.ndarray:
         """L v: column 0 times v[0] plus the Toeplitz part of rows 1..N."""
@@ -177,22 +177,14 @@ class AssembledSystem:
         return y
 
     def precondition(self, v: np.ndarray) -> np.ndarray:
-        """P^-1 v: the inverse circulant applied to rows 1..m, which are
+        """P^-1 v: the inverse circulant applied to rows 1..free, which are
         zero-padded to N rows and cut back; the data rows (0, and N for
         Dirichlet data) pass unchanged."""
-        n = v.shape[0]
-        m = n - 2 if isinstance(self.problem.bc, DirichletBC) else n - 1
+        n, m = v.shape[0], self.free
         out = v.copy()
         z = np.fft.irfft(np.fft.rfft(v[1 : m + 1], n - 1) * self.precond, n - 1)
         out[1 : m + 1] = z[:m]
         return out
-
-    def norm_lower_bound(self) -> float:
-        """A lower bound on ||A||_inf: the larger of ||A 1||_inf and the
-        absolute row sum of a data row (1) or the difference row (2/h)."""
-        p = self.problem
-        row = 1.0 if isinstance(p.bc, DirichletBC) else 2.0 / p.grid.h
-        return max(row, float(np.max(np.abs(self.apply(np.ones(p.grid.n_nodes))))))
 
 
 @dataclass(frozen=True)
@@ -201,10 +193,10 @@ class SolveReport:
 
     ``residual_norm`` is max |b - A x| over nodes and components.
     ``condition_estimate`` is the largest per-component
-    ell ||x|| / ||b||, with ell <= ||A|| from ``norm_lower_bound``, and at
+    anorm ||x|| / ||b||, with ``AssembledSystem.anorm`` <= ||A||, and at
     least 1: a lower bound on the condition number.  ``iterations`` counts the Arnoldi
     steps of all components.  ``backward_error`` is the largest
-    per-component ||b - A x|| / (ell ||x|| + ||b||), an upper bound on the
+    per-component ||b - A x|| / (anorm ||x|| + ||b||), an upper bound on the
     normwise backward error.
     """
 
@@ -247,26 +239,29 @@ def assemble(problem: LinearProblem) -> AssembledSystem:
     precond = 1.0 / np.copysign(np.maximum(np.abs(d), PRECOND_FLOOR), d)
     s = boundary_shape(grid, problem.alpha)
 
-    if isinstance(problem.bc, DirichletBC):
-        rhs = np.outer(1.0 - s, problem.bc.xa) + np.outer(s, problem.bc.xb)
-        rhs[0] = problem.bc.xa
-        rhs[n - 1] = problem.bc.xb
+    bc = problem.bc
+    if isinstance(bc, DirichletBC):
+        rhs = np.outer(1.0 - s, bc.xa) + np.outer(s, bc.xb)
+        rhs[0], rhs[n - 1] = bc.xa, bc.xb
+        start = rhs.copy()
+        free, row, context = n - 2, 1.0, ""
     else:
-        rhs = np.outer(1.0 - s, problem.bc.u0)
-        rhs[0] = problem.bc.u0
-        rhs[n - 1] = problem.bc.du0
-    return AssembledSystem(
-        problem=problem,
-        symbol_fft=symbol_fft,
-        column0=column0,
-        shape=s,
-        precond=precond,
-        rhs=rhs,
+        rhs = np.outer(1.0 - s, bc.u0)
+        rhs[0], rhs[n - 1] = bc.u0, bc.du0
+        start = rhs.copy()
+        start[n - 1] = 0.0
+        free, row = n - 1, 2.0 / grid.h
+        context = "initial data imposed via first-order one-sided difference row"
+    # ||A 1|| needs the operator, so anorm holds the row sum until then
+    system = AssembledSystem(
+        problem, symbol_fft, column0, s, precond, rhs, start, free, anorm=row, context=context
     )
+    return replace(system, anorm=max(row, float(np.max(np.abs(system.apply(np.ones(n)))))))
 
 
-def _gmres(system: AssembledSystem, b: np.ndarray, x: np.ndarray, anorm: float):
-    """Right-preconditioned restarted GMRES for A x = b from the start x.
+def _gmres(apply, precondition, b: np.ndarray, x: np.ndarray, anorm: float):
+    """Right-preconditioned restarted GMRES for A x = b from the start x,
+    with A v = apply(v) and P^-1 v = precondition(v).
 
     Each cycle runs up to RESTART modified Gram-Schmidt Arnoldi steps on
     A P^-1, reducing the Hessenberg by Givens rotations as it grows, and
@@ -277,7 +272,7 @@ def _gmres(system: AssembledSystem, b: np.ndarray, x: np.ndarray, anorm: float):
     """
     n = b.shape[0]
     bnorm = np.max(np.abs(b))
-    r = b - system.apply(x)
+    r = b - apply(x)
     steps = 0
     while True:
         target = TOL * (anorm * np.max(np.abs(x)) + bnorm)
@@ -292,7 +287,7 @@ def _gmres(system: AssembledSystem, b: np.ndarray, x: np.ndarray, anorm: float):
         g[0] = np.linalg.norm(r)
         v[0] = r / g[0]
         for j in range(m):
-            w = system.apply(system.precondition(v[j]))
+            w = apply(precondition(v[j]))
             for i in range(j + 1):
                 hess[i, j] = w @ v[i]
                 w -= hess[i, j] * v[i]
@@ -316,8 +311,8 @@ def _gmres(system: AssembledSystem, b: np.ndarray, x: np.ndarray, anorm: float):
             if not abs(g[j + 1]) > target:
                 break
         y = solve_triangular(hess[: j + 1, : j + 1], g[: j + 1], check_finite=False)
-        x = x + system.precondition(y @ v[: j + 1])
-        r = b - system.apply(x)
+        x = x + precondition(y @ v[: j + 1])
+        r = b - apply(x)
 
 
 def _singular(cond: float, detail: str) -> NumericalFailure:
@@ -334,15 +329,8 @@ def solve(problem: LinearProblem) -> SolveReport:
     when the relative residual ||b - A x|| / ||b|| exceeds RESIDUAL_MAX.
     """
     system = assemble(problem)
-    rhs = system.rhs
-    ell = system.norm_lower_bound()
-    # start from the interpolant (1 - S)*x(a) + S*x(b), with x(b) = 0 for
-    # initial data: it meets the data rows exactly, and as those rows of A
-    # and of P are unit rows, every GMRES correction is zero there
-    x = rhs.copy()
-    if isinstance(problem.bc, InitialBC):
-        x[-1] = 0.0
-    residual = np.empty_like(rhs)
+    rhs, anorm = system.rhs, system.anorm
+    x, residual = np.empty_like(rhs), np.empty_like(rhs)
     cond, steps, backward = 1.0, 0, 0.0
     for j in range(problem.dim):
         # solve for data scaled by a power of two near its size: exact, and
@@ -351,11 +339,13 @@ def solve(problem: LinearProblem) -> SolveReport:
         scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(rhs[:, j]))))[1])
         b = rhs[:, j] / scale
         with np.errstate(all="ignore"):
-            xj, rj, n_steps = _gmres(system, b, x[:, j] / scale, ell)
+            xj, rj, n_steps = _gmres(
+                system.apply, system.precondition, b, system.start[:, j] / scale, anorm
+            )
             rnorm, xnorm, bnorm = (float(np.max(np.abs(v))) for v in (rj, xj, b))
             if bnorm > 0.0:
-                cond = max(cond, ell * xnorm / bnorm)
-            berr = rnorm / (ell * xnorm + bnorm) if rnorm > 0.0 else 0.0
+                cond = max(cond, anorm * xnorm / bnorm)
+            berr = rnorm / (anorm * xnorm + bnorm) if rnorm > 0.0 else 0.0
         steps += n_steps
         if not (np.all(np.isfinite(xj)) and np.all(np.isfinite(rj))):
             raise _singular(cond, "GMRES produced non-finite values")
@@ -373,16 +363,13 @@ def solve(problem: LinearProblem) -> SolveReport:
         residual[:, j] = rj * scale
         backward = max(backward, berr)
 
-    context = ""
-    if isinstance(problem.bc, InitialBC):
-        context = "initial data imposed via first-order one-sided difference row"
     return SolveReport(
         solution=make_trajectory(problem.grid, x),
         residual_norm=float(np.max(np.abs(residual))),
         condition_estimate=float(cond),
         iterations=steps,
         backward_error=float(backward),
-        context=context,
+        context=system.context,
     )
 
 
@@ -396,13 +383,6 @@ class ClassicalReference:
     def value(self, t):
         t = np.asarray(t, dtype=float)
         return np.squeeze(np.multiply.outer(np.exp(t), self.c1) + np.multiply.outer(np.exp(-t), self.c2))
-
-    def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.squeeze(np.multiply.outer(np.exp(t), self.c1) - np.multiply.outer(np.exp(-t), self.c2))
-
-    def second_derivative(self, t):
-        return self.value(t)
 
     __call__ = value
 

@@ -426,6 +426,17 @@ class TestExitCodes:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "omega" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "noether"])
+    def test_overflowing_omega_exits_1(self, tmp_path, capsys, command):
+        # omega is finite but omega**2 is not
+        cfg = write_config(
+            tmp_path, "problem = oscillator\nomega = 1e200\nalphas = 0.9\nn_sub = 50\n"
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: key 'omega': omega**2 must be finite, got 1e+200\n"
+        assert not (tmp_path / "o").exists()
+
     def test_singular_system_exits_2(self, tmp_path, capsys):
         grid = F.make_grid(0.0, 1.0, 2)
         order = F.FractionalOrder(0.5)
@@ -512,6 +523,57 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+class TestConventionHeader:
+    """Each file's ``# conventions`` line names the D_a+ the command used."""
+
+    @staticmethod
+    def conventions(path):
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [line for line in handle if line.startswith("# conventions:")]
+        assert len(lines) == 1
+        return lines[0].split(";")[0]
+
+    @pytest.mark.parametrize(
+        "command, files",
+        [
+            ("solve", ["solution_alpha0.5.csv", "residual_alpha0.5.csv"]),
+            ("check", ["checks.csv"]),
+        ],
+    )
+    def test_caputo_only_commands_under_rl(self, tmp_path, command, files):
+        cfg = write_config(
+            tmp_path,
+            "problem = harmonic2d\nalphas = 0.5\nn_sub = 40\nderivative_convention = rl\n",
+        )
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) in (0, 3)
+        for name in files:
+            assert self.conventions(out / name) == "# conventions: D_a+ = caputo, D_b- = rl"
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("problem = harmonic2d\nquantity = noether\n", "rl"),
+            ("problem = harmonic2d\nquantity = autonomous\n", "rl"),
+            ("problem = harmonic2d\nquantity = q\n", "caputo"),
+            ("problem = oscillator\nomega = 1\nquantity = oscillator\n", "caputo"),
+        ],
+        ids=["noether", "autonomous", "q", "oscillator"],
+    )
+    def test_noether_under_rl(self, tmp_path, text, expected):
+        cfg = write_config(
+            tmp_path, text + "alphas = 0.5\nn_sub = 40\nderivative_convention = rl\n"
+        )
+        out = tmp_path / "o"
+        assert main(["noether", "--config", cfg, "--out", str(out)]) == 0
+        line = f"# conventions: D_a+ = {expected}, D_b- = rl"
+        assert self.conventions(out / "quantity_alpha0.5.csv") == line
+        assert self.conventions(out / "drift_summary.csv") == line
+        summary = (out / "drift_summary.csv").read_text().splitlines()
+        assert summary[-2].endswith(",convention")
+        assert summary[-1].endswith("," + expected)
 
 
 class TestDeterminism:

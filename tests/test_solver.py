@@ -249,6 +249,59 @@ class TestAgainstDenseOracle:
         assert 1.0 <= report.condition_estimate <= cond * grid.n_nodes
 
 
+class TestGmres:
+    def test_plain_callables_match_numpy_solve(self):
+        # a small nonsymmetric dense system with the identity preconditioner
+        rng = np.random.default_rng(7)
+        a = np.eye(12) * 4.0 + rng.standard_normal((12, 12))
+        b = rng.standard_normal(12)
+        anorm = float(np.max(np.sum(np.abs(a), axis=1)))
+        x, r, steps = S._gmres(lambda v: a @ v, lambda v: v, b, np.zeros(12), anorm)
+        expected = np.linalg.solve(a, b)
+        assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.array_equal(r, b - a @ x)
+        assert 0 < steps <= 12
+
+
+class TestAssembledMembers:
+    def test_dirichlet_members(self):
+        p = harmonic_problem(16, 0.5)
+        system = S.assemble(p)
+        assert system.free == 16 - 1
+        assert np.array_equal(system.start, system.rhs)
+        assert system.start is not system.rhs
+        ones = system.apply(np.ones(17))
+        assert system.anorm == max(1.0, float(np.max(np.abs(ones))))
+        assert system.anorm >= 1.0
+        assert system.context == ""
+
+    def test_initial_members(self):
+        grid = F.make_grid(0.0, 1.0, 16)
+        p = S.LinearProblem(
+            grid=grid, alpha=0.5, dim=2, kappa=1.0, bc=S.initial((0.5, 1.0), (1.0, -2.0))
+        )
+        system = S.assemble(p)
+        assert system.free == 16
+        assert np.array_equal(system.start[:-1], system.rhs[:-1])
+        assert np.array_equal(system.start[-1], [0.0, 0.0])
+        assert np.array_equal(system.rhs[-1], [1.0, -2.0])
+        assert system.anorm >= 2.0 / grid.h
+        assert "one-sided difference" in system.context
+
+    @pytest.mark.parametrize(
+        "bc",
+        [S.dirichlet((1.0, 2.0), (2.0, 1.0)), S.initial((0.0, 1.0), (1.0, 0.0))],
+        ids=["dirichlet", "initial"],
+    )
+    def test_precondition_passes_the_data_rows(self, bc):
+        p = S.LinearProblem(grid=F.make_grid(0.0, 1.0, 16), alpha=0.5, dim=2, kappa=1.0, bc=bc)
+        system = S.assemble(p)
+        v = np.arange(1.0, 18.0)
+        out = system.precondition(v)
+        assert out[0] == v[0]
+        assert (out[-1] == v[-1]) == (system.free == 15)
+
+
 class TestClassicalReference:
     def test_fit_coefficients(self):
         ref = S.classical_reference(0.0, 1.0, 1.0, 2.0)
@@ -259,20 +312,6 @@ class TestClassicalReference:
         ref = S.classical_reference(0.0, 1.0, (1.0, 2.0), (2.0, 1.0))
         assert np.allclose(ref.value(0.0), [1.0, 2.0], atol=1e-14)
         assert np.allclose(ref.value(1.0), [2.0, 1.0], atol=1e-14)
-
-    def test_second_derivative_identity(self):
-        # x = c1 e^t + c2 e^{-t} satisfies x'' = x by construction
-        ref = S.classical_reference(0.0, 1.0, 1.0, 2.0)
-        t = np.linspace(0.0, 1.0, 11)
-        assert np.array_equal(ref.second_derivative(t), ref.value(t))
-        fd = (ref.value(t + 1e-5) - 2.0 * ref.value(t) + ref.value(t - 1e-5)) / 1e-10
-        assert np.max(np.abs(fd - ref.value(t))) < 1e-4
-
-    def test_derivative_against_finite_difference(self):
-        ref = S.classical_reference(0.0, 1.0, (1.0, 2.0), (2.0, 1.0))
-        t = np.linspace(0.0, 1.0, 11)
-        fd = (ref.value(t + 1e-6) - ref.value(t - 1e-6)) / 2e-6
-        assert np.max(np.abs(fd - ref.derivative(t))) < 1e-8
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError):

@@ -16,16 +16,16 @@ only.  The L1 derivative and the composition check apply their symbols
 with ``causal_convolve``, and the solver applies I_left @ I_right by two
 FFT convolutions with the integral symbol plus column-0 terms.
 
-``causal_convolve`` computes out[k] = sum_{i<=k} b[k-i]*s[i].  Below
-``FFT_MIN_NODES`` outputs it is ``np.convolve`` per component, O(N^2).
-From there on it is blocked after Hairer, Lubich & Schlichte (SIAM J. Sci.
-Stat. Comput. 6, 1985): the index range is halved recursively, and at
-each level every left half-block adds its contribution to the right
-half-block beside it, directly for blocks shorter than ``LEAF`` and by a
-batched real FFT for longer ones, in O(N log^2 N) time.  Each output is
-a sum over inputs at or before it only, so the result is exactly causal
-bit for bit, and zero input (constant paths have zero slopes) gives exact
-zeros.  It runs on one thread and uses no BLAS.
+``causal_convolve`` computes out[k] = sum_{i<=k} b[k-i]*s[i], at every
+size by one blocked scheme after Hairer, Lubich & Schlichte (SIAM J. Sci.
+Stat. Comput. 6, 1985).  One near-field product applies to each
+``LEAF``-node block its lower-triangular Toeplitz block; then, for
+half-blocks of ``LEAF``, 2*``LEAF``, ... nodes, every left half-block
+adds its contribution to the right half-block beside it by a batched real
+FFT, in O(N log^2 N) time.  Each output is a sum over inputs at or before
+it only, so the result is exactly causal bit for bit, and zero input
+(constant paths have zero slopes) gives exact zeros.  It runs on one
+thread and uses no BLAS.
 """
 
 import functools
@@ -42,19 +42,15 @@ __all__ = [
     "toeplitz_parts",
 ]
 
-# below this many outputs np.convolve is faster than the blocked form: the
-# measured crossover, for one and two components, lies at 1650-1800
-FFT_MIN_NODES = 1700
-# half-blocks shorter than this are applied directly, longer ones by FFT
-# (run time is flat within 5% for leaves of 16 to 128)
+# blocks of this many nodes are applied directly, longer spans by FFT
 LEAF = 64
 
 
 @functools.lru_cache(maxsize=4)
 def _profile(n, h, expo, gamma):
-    """The profile and the per-level kernel blocks of ``causal_convolve``
-    for it, filled on first use.  Work at one order on one grid uses two
-    profiles (L1 at 1-alpha, integral at alpha); four hold two orders."""
+    """The profile and its ``causal_convolve`` blocks, filled on first use.
+    One order on one grid uses the L1 (1-alpha) and integral (alpha)
+    profiles; the chain-rule check adds the L1 profile of its new grid."""
     p = np.array([math.pow(g * h, expo) for g in range(n)])
     w = np.zeros(n)
     w[1:] = (p[1:] - p[:-1]) / gamma
@@ -71,46 +67,44 @@ def weight_profile(n, h, expo, gamma):
 
 def profile_convolve(n, h, expo, gamma, s):
     """``causal_convolve`` of ``weight_profile(n, h, expo, gamma)`` with
-    ``s``, reusing the profile's per-level kernel blocks across calls."""
+    ``s``, reusing the profile's convolution blocks across calls."""
     w, blocks = _profile(n, h, expo, gamma)
     return causal_convolve(w, s, blocks)
 
 
-def _level_block(b, m):
-    """Kernel of the level with half-blocks of length m: the Toeplitz block
-    T[k, i] = b[m + k - i] below ``LEAF``, else the real FFT of b[:2m]
-    (b taken as zero past its end)."""
-    seg = np.zeros(2 * m)
-    seg[: min(2 * m, b.shape[0])] = b[: 2 * m]
-    if m < LEAF:
-        k = np.arange(m)
-        return seg[m + k[:, None] - k]
-    return np.fft.rfft(seg)
+def _near_block(b):
+    """The Toeplitz block T[k, i] = b[k - i] for i <= k < ``LEAF``, zero
+    above the diagonal (b taken as zero past its end)."""
+    seg = np.zeros(2 * LEAF)
+    seg[LEAF : LEAF + b.shape[0]] = b[:LEAF]
+    k = np.arange(LEAF)
+    return seg[LEAF + k[:, None] - k]
 
 
 def causal_convolve(b, s, blocks=None):
     """out[k] = sum_{i<=k} b[k-i] * s[i] for k < len(b), per column of the
     2-D ``s`` (at most len(b) rows); returns shape (len(b), s.shape[1]).
 
-    ``blocks`` caches the per-level kernels of ``b`` across calls (a dict
-    this function fills); ``None`` builds them for this call only.
+    ``blocks`` caches the near-field block (key ``"near"``) and the
+    per-level FFT kernels (key m) of ``b`` across calls (a dict this
+    function fills); ``None`` builds them for this call only.
     """
     n = b.shape[0]
-    if n < FFT_MIN_NODES:
-        out = np.empty((n, s.shape[1]))
-        for j in range(s.shape[1]):
-            out[:, j] = np.convolve(b, s[:, j])[:n]
-        return out
     if blocks is None:
         blocks = {}
+    if "near" not in blocks:
+        blocks["near"] = _near_block(b)
     c = s.shape[1]
-    size = 1 << (n - 1).bit_length()
+    size = max(LEAF, 1 << (n - 1).bit_length())
     x = np.zeros((c, size))
     x[:, : s.shape[0]] = s.T
-    # accumulate from +0.0, as np.convolve does: with b[0] = 0 row 0 is +0.0
+    # accumulate from +0.0, so that an output summing to zero is +0.0
     out = np.zeros((c, size))
-    out += b[0] * x
-    m = 1
+    lead = -(-n // LEAF)  # blocks that hold an output
+    out.reshape(c, -1, LEAF)[:, :lead] += np.einsum(
+        "cpi,ki->cpk", x.reshape(c, -1, LEAF)[:, :lead], blocks["near"]
+    )
+    m = LEAF
     while m < n:
         # sibling pairs (half-blocks 2p and 2p+1) whose right half starts below n
         pairs = -(-(n - m) // (2 * m))
@@ -118,11 +112,9 @@ def causal_convolve(b, s, blocks=None):
         dst = out.reshape(c, -1, 2, m)[:, :pairs, 1]
         kern = blocks.get(m)
         if kern is None:
-            kern = blocks[m] = _level_block(b, m)
-        if m < LEAF:
-            dst += np.einsum("cpi,ki->cpk", src, kern)
-        else:
-            dst += np.fft.irfft(np.fft.rfft(src, 2 * m) * kern, 2 * m)[..., m:]
+            # b[:2m], zero-padded past its end: every gap from a left to a right half
+            kern = blocks[m] = np.fft.rfft(b[: 2 * m], 2 * m)
+        dst += np.fft.irfft(np.fft.rfft(src, 2 * m) * kern, 2 * m)[..., m:]
         m *= 2
     return out[:, :n].T
 

@@ -21,13 +21,12 @@ Quadrature conventions
   differences (central in the interior, one-sided at the ends).  The
   derivatives evaluate in slope form: the memoized L1 weight profile is
   convolved with the difference quotients by ``_kernels.causal_convolve``,
-  all components at once, in O(N) memory.  Below
-  ``_kernels.FFT_MIN_NODES`` nodes that is ``np.convolve``, O(N^2); above,
-  a blocked convolution with direct near-field and FFT far-field blocks of
-  doubling size, O(N log^2 N).  Both are exactly causal (a node's value
-  depends only on the values at or before it, bit for bit) and map
-  constants to exactly zero; the dense L1 matrix ``_kernels.l1_weights``
-  is kept as the test oracle and agrees with the slope form to rounding.
+  all components at once, in O(N) memory: at every N one near-field
+  product on 64-node blocks plus FFT far-field blocks of doubling size,
+  O(N log^2 N).  It is exactly causal (a node's value depends only on the
+  values at or before it, bit for bit) and maps constants to exactly zero;
+  the dense L1 matrix ``_kernels.l1_weights`` is kept as the test oracle
+  and agrees with the slope form to rounding.
 * Right-sided operators are mirror images of the left-sided ones: the right
   integral matrix is a view of the left one flipped in both indices (one
   fill, no copy), and a right derivative is the left derivative of the
@@ -272,6 +271,8 @@ def check_composition(grid: Grid, alpha, x: Trajectory) -> CompositionReport:
     quadrature: the first-panel endpoint contribution is dropped rather than
     extrapolated, which keeps the residual decreasing under refinement.
     """
+    if not np.all(x.mask):
+        raise ValueError("check_composition requires a fully defined trajectory")
     o = _order(alpha)
     integ = left_integral_matrix(grid, o)
     cap = caputo_left(grid, o, x)

@@ -70,14 +70,14 @@ class NumericalFailure(RuntimeError):
     """Raised when the assembled system is singular or numerically unusable."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _BoundaryData:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, np.atleast_1d(np.asarray(getattr(self, f.name), dtype=float)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirichletBC(_BoundaryData):
     """Boundary values x(a) = xa, x(b) = xb."""
 
@@ -85,7 +85,7 @@ class DirichletBC(_BoundaryData):
     xb: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InitialBC(_BoundaryData):
     """Initial values x(a) = u0, x'(a) = du0 (imposed by a first-order
     one-sided difference row)."""
@@ -98,7 +98,7 @@ dirichlet = DirichletBC
 initial = InitialBC
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProblem:
     """D^alpha_right(caputo_left x) = kappa * x with boundary data."""
 
@@ -124,7 +124,7 @@ class LinearProblem:
                 raise ValueError(f"{f.name} must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssembledSystem:
     """All that ``solve`` reads: the system matrix A as an operator, its
     preconditioner, and what ``assemble`` decided once from the boundary
@@ -373,7 +373,7 @@ def solve(problem: LinearProblem) -> SolveReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalReference:
     """Closed-form x(t) = c1*e^t + c2*e^{-t} fitted per component."""
 

@@ -304,6 +304,17 @@ class TestComposition:
         rep = F.check_composition(g, 1.0, F.make_trajectory(g, g.nodes))
         assert rep.caputo_residual < 1e-13
 
+    @pytest.mark.parametrize("masked", (0, 20))
+    def test_partly_masked_trajectory_rejected(self, masked):
+        # a masked node used to give a finite wrong rl_residual (node 0) or
+        # NaN residuals (node 20)
+        g = grid01(40)
+        mask = np.ones(g.n_nodes, dtype=bool)
+        mask[masked] = False
+        x = F.make_trajectory(g, np.column_stack([g.nodes**2, g.nodes]), mask=mask)
+        with pytest.raises(ValueError, match="fully defined trajectory"):
+            F.check_composition(g, 0.5, x)
+
     @settings(max_examples=200, deadline=None)
     @given(
         alpha=st.one_of(st.floats(0.01, 0.99), st.just(1.0)),
@@ -377,11 +388,12 @@ class TestOperatorProperties:
 
 
 # ---------------------------------------------------------------------------
-# the blocked (FFT) branch of the causal convolution: the tests above run on
-# grids below _kernels.FFT_MIN_NODES, where it is np.convolve
+# the causal convolution: one near-field product on LEAF-node blocks plus FFT
+# levels, at every size; N_PRESET (the preset grids) has two FFT levels,
+# N_BLOCKED six
 
+N_PRESET = 200
 N_BLOCKED = 3000
-assert N_BLOCKED + 1 >= _kernels.FFT_MIN_NODES
 
 
 def _direct_convolve(b, s):
@@ -392,10 +404,15 @@ class TestBlockedConvolution:
     # bump positions on a leaf boundary, one past it, on the top power-of-two
     # boundary, and off every boundary
     BUMPS = (2 * _kernels.LEAF, 2 * _kernels.LEAF + 1, 2048, 2049, 1777)
+    PRESET_BUMPS = (_kernels.LEAF, _kernels.LEAF + 1, 2 * _kernels.LEAF, 2 * _kernels.LEAF + 1, 177)
 
-    @pytest.mark.parametrize("bump", BUMPS)
-    def test_causality_bitwise(self, bump):
-        g = grid01(N_BLOCKED)
+    @pytest.mark.parametrize(
+        "n_sub, bump",
+        [pytest.param(N_BLOCKED, bump, id=str(bump)) for bump in BUMPS]
+        + [pytest.param(N_PRESET, bump, id=f"n{N_PRESET}-{bump}") for bump in PRESET_BUMPS],
+    )
+    def test_causality_bitwise(self, n_sub, bump):
+        g = grid01(n_sub)
         rng = np.random.default_rng(bump)
         base = rng.standard_normal((g.n_nodes, 2))
         m = F.left_integral_matrix(g, 0.5)
@@ -413,17 +430,29 @@ class TestBlockedConvolution:
                 after = F._apply_left_integral(m, bumped)[untouched]
                 assert before.tobytes() == after.tobytes()
 
-    @pytest.mark.parametrize("alpha", (0.3, 0.7))
-    def test_constant_maps_to_exact_zero(self, alpha):
-        g = grid01(N_BLOCKED)
+    @pytest.mark.parametrize(
+        "n_sub, alpha",
+        [pytest.param(N_BLOCKED, alpha, id=str(alpha)) for alpha in (0.3, 0.7)]
+        + [pytest.param(N_PRESET, alpha, id=f"n{N_PRESET}-{alpha}") for alpha in (0.3, 0.7)],
+    )
+    def test_constant_maps_to_exact_zero(self, n_sub, alpha):
+        g = grid01(n_sub)
         x = F.make_trajectory(g, np.full((g.n_nodes, 2), 4.2))
         assert np.all(F.caputo_left(g, alpha, x).values == 0.0)
         assert np.all(F.caputo_right(g, alpha, x).values == 0.0)
         assert F.check_composition(g, alpha, x).caputo_residual == 0.0
 
+    @pytest.mark.parametrize("n", (1, 2, 63, 64, 65, N_PRESET + 1, 3201))
+    def test_zero_input_gives_positive_zeros(self, n):
+        b = np.random.default_rng(n).standard_normal(n)
+        for rows in (n, max(n - 1, 1)):
+            out = _kernels.causal_convolve(b, np.zeros((rows, 2)))
+            assert out.shape == (n, 2)
+            assert np.all(out == 0.0) and not np.any(np.signbit(out))
+
     @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.9))
     def test_matches_direct_branch(self, alpha, monkeypatch):
-        # the np.convolve branch, forced at the same size, is the oracle
+        # the direct sum, patched in for the convolution, is the oracle
         g = F.make_grid(-1.0, 2.0, 3200)
         t = g.nodes
         x = F.make_trajectory(g, np.column_stack([np.sin(3.0 * t), (t + 1.0) ** 2.5]))
@@ -435,24 +464,24 @@ class TestBlockedConvolution:
             return outs + [F._apply_left_integral(m, x.values)]
 
         blocked = run()
-        monkeypatch.setattr(_kernels, "FFT_MIN_NODES", g.n_nodes + 1)
+        monkeypatch.setattr(_kernels, "causal_convolve", lambda b, s, blocks=None: _direct_convolve(b, s))
         for got, ref in zip(blocked, run()):
             defined = np.isfinite(ref)
             assert np.array_equal(defined, np.isfinite(got))
             scale = np.max(np.abs(ref[defined]))
             assert np.max(np.abs(got[defined] - ref[defined])) <= 1e-13 * scale
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
-        n=st.integers(_kernels.FFT_MIN_NODES - 100, 2 * _kernels.FFT_MIN_NODES + 100),
+        n=st.one_of(st.integers(2, 300), st.sampled_from((63, 64, 65, 129, 2049, 3201, 4097))),
         short_input=st.booleans(),
         dim=st.integers(1, 3),
         zero_head=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_np_convolve(self, n, short_input, dim, zero_head, seed):
-        # lengths straddle the branch threshold and are mostly not powers of
-        # two; the input has n or n - 1 rows, as the two callers pass
+        # lengths below, on and around the leaf size and powers of two; the
+        # input has n or n - 1 rows, as the two callers pass
         rng = np.random.default_rng(seed)
         b = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
         if zero_head:
@@ -463,19 +492,33 @@ class TestBlockedConvolution:
         assert got.shape == (n, dim)
         assert np.max(np.abs(got - _direct_convolve(b, s))) <= tol
 
+    def test_matches_direct_sum_at_every_small_size(self):
+        # every n up to 300 and the sizes around leaf and power-of-two
+        # boundaries, each with 1 to 3 components and n or n - 1 input rows
+        rng = np.random.default_rng(17)
+        for n in [*range(2, 301), 2049, 3201, 4097]:
+            b = rng.standard_normal(n)
+            for dim in (1, 2, 3):
+                for rows in (n, n - 1):
+                    s = rng.standard_normal((rows, dim))
+                    got = _kernels.causal_convolve(b, s)
+                    tol = 1e-13 * np.sum(np.abs(b)) * np.max(np.abs(s))
+                    assert np.max(np.abs(got - _direct_convolve(b, s))) <= tol, (n, dim, rows)
+
     def test_repeat_calls_bit_identical(self):
-        # the first call builds the weight profile and its per-level kernels,
-        # the second reuses them; both must give the same bits
-        g = grid01(3200)
-        x = F.make_trajectory(g, np.column_stack([g.nodes**2, np.cos(g.nodes)]))
+        # the first call builds the weight profile and its convolution
+        # blocks, the second reuses them; both must give the same bits
+        for n_sub in (N_PRESET, 3200):
+            g = grid01(n_sub)
+            x = F.make_trajectory(g, np.column_stack([g.nodes**2, np.cos(g.nodes)]))
 
-        def run():
-            rep = F.check_composition(g, 0.6, x)
-            d = F.rl_right(g, 0.6, x).values
-            return rep.caputo_residual.hex(), rep.rl_residual.hex(), [v.hex() for v in d.ravel()]
+            def run():
+                rep = F.check_composition(g, 0.6, x)
+                d = F.rl_right(g, 0.6, x).values
+                return rep.caputo_residual.hex(), rep.rl_residual.hex(), [v.hex() for v in d.ravel()]
 
-        _kernels._profile.cache_clear()
-        assert run() == run()
+            _kernels._profile.cache_clear()
+            assert run() == run()
 
 
 class TestWeightProfileMemo:
@@ -573,7 +616,7 @@ class TestToeplitzFill:
     op=st.sampled_from((F.caputo_left, F.caputo_right, F.rl_left, F.rl_right)),
     n_sub=st.one_of(
         st.integers(2, 60),
-        st.integers(_kernels.FFT_MIN_NODES - 3, _kernels.FFT_MIN_NODES + 100),
+        st.integers(_kernels.LEAF - 3, 1800),
     ),
     alpha=st.one_of(st.just(1.0), st.floats(0.05, 0.95)),
     where=st.floats(0.0, 1.0),

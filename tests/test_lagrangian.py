@@ -353,7 +353,7 @@ class TestAlong:
     def test_zero_series_skip_matches_operator(
         self, alpha, n_sub, dim, a, length, convention, zero
     ):
-        # n_sub spans both convolution paths (np.convolve and blocked FFT)
+        # n_sub spans grids inside one near-field block and grids with FFT levels
         g = F.make_grid(a, a + length, n_sub)
         x = F.make_trajectory(g, np.cos(np.outer(g.nodes, np.arange(1, dim + 1))))
         along = Lmod._Along(PR.kappa_lagrangian(-1.0, dim=dim), x, alpha, "test", convention)

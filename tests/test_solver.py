@@ -83,6 +83,26 @@ class TestProblemValidation:
         assert p.alpha.alpha == 0.5
 
 
+# frozen dataclasses with array fields compare and hash by identity: value
+# equality of arrays is ambiguous
+IDENTITY_EQUAL = {
+    "DirichletBC": lambda: S.dirichlet((1.0, 2.0), (3.0, 4.0)),
+    "InitialBC": lambda: S.initial((1.0, 2.0), (3.0, 4.0)),
+    "LinearProblem": lambda: harmonic_problem(16, 0.5),
+    "AssembledSystem": lambda: S.assemble(harmonic_problem(16, 0.5)),
+    "ClassicalReference": lambda: S.classical_reference(0.0, 1.0, (1.0, 2.0), (2.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("make", IDENTITY_EQUAL.values(), ids=IDENTITY_EQUAL.keys())
+def test_equal_values_compare_unequal_and_hash(make):
+    first, second = make(), make()
+    assert (first == second) is False
+    assert first == first
+    assert hash(first) == hash(first)
+    assert len({first, second}) == 2
+
+
 class TestBoundaryShape:
     def test_endpoints_exact(self):
         grid = F.make_grid(2.5, 3.5, 16)

@@ -270,26 +270,25 @@ def cmd_check(config: RunConfig) -> int:
         1e-9,
     )
     try:
-        chain_rule = SY.check_chain_rule(
-            group, probe, alpha, CHAIN_RULE_S, tol=tol_discrete
-        )
-    except ValueError as exc:
-        raise ConfigError(f"group {config.group!r}: {exc}") from None
-    reports = [
-        ("group_law", SY.check_group_law(group, tol=DEFAULT_GROUP_TOLERANCE)),
-        ("admissible", SY.check_admissible(group, tol=DEFAULT_GROUP_TOLERANCE)),
-        (
-            "localization",
-            SY.check_localization(
-                group, config.interval[0], tol=DEFAULT_GROUP_TOLERANCE
+        reports = [
+            ("group_law", SY.check_group_law(group, tol=DEFAULT_GROUP_TOLERANCE)),
+            ("admissible", SY.check_admissible(group, tol=DEFAULT_GROUP_TOLERANCE)),
+            (
+                "localization",
+                SY.check_localization(
+                    group, config.interval[0], tol=DEFAULT_GROUP_TOLERANCE
+                ),
             ),
-        ),
-        ("chain_rule", chain_rule),
-        (
-            "invariance",
-            SY.check_invariance(L, group, x, alpha, tol=tol_discrete),
-        ),
-    ]
+            (
+                "chain_rule",
+                SY.check_chain_rule(group, probe, alpha, CHAIN_RULE_S, tol=tol_discrete),
+            ),
+            ("invariance", SY.check_invariance(L, group, x, alpha, tol=tol_discrete)),
+        ]
+    except ValueError as exc:  # no transformed grid exists
+        raise ConfigError(f"group {config.group!r}: {exc}") from None
+    except OverflowError as exc:  # math.exp of a large group parameter
+        raise ConfigError(f"group {config.group!r}: time map overflows ({exc})") from None
 
     os.makedirs(config.outputs, exist_ok=True)
     comments = _comment_lines(config, "check", alpha)

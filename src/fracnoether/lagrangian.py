@@ -302,7 +302,8 @@ def second_el_quantity(L: LagrangianSpec, x: Trajectory, alpha) -> QuantitySerie
     condition under test in the conservation checks.
     """
     s = _Along(L, x, alpha, "second_el_quantity")
-    return make_series(s.grid, s.at("eval") - np.sum(s.dxa * s.at("d_v"), axis=1))
+    series = s.at("eval") - np.sum(s.dxa * s.at("d_v"), axis=1)
+    return make_series(s.grid, series, context="second form; D_a+ = caputo")
 
 
 def extended_el_residual(E: ExtendedLagrangianSpec, x: Trajectory, alpha_factor: bool = True):
@@ -321,4 +322,6 @@ def extended_el_residual(E: ExtendedLagrangianSpec, x: Trajectory, alpha_factor:
     factor = s.o.alpha if alpha_factor else 1.0
     inner = s.at("eval") - factor * np.sum(s.dxa * s.at("d_v"), axis=1)
     res_b = s.at("d_t") - np.gradient(inner, s.grid.h, edge_order=2)
-    return _el_residual(s), make_series(s.grid, res_b)
+    weight = "alpha-weighted" if alpha_factor else "unweighted"
+    context = f"t-equation, {weight} mixed term; D_a+ = caputo; x-equations D_b- = rl"
+    return _el_residual(s), make_series(s.grid, res_b, context=context)

@@ -177,8 +177,9 @@ def noether_quantity(
             f"variant must be 'conslaw' or 'conslaw2', got {variant!r}"
         )
     s = _Along(L, x, alpha, "noether_quantity", convention)
+    right = ", D_b- = rl" if variant == "conslaw" else ""
     context = (
-        f"{variant} form; D_a+ = {convention}, D_b- = rl; "
+        f"{variant} form; D_a+ = {convention}{right}; "
         "xdot and zeta-dot by central differences"
     )
     return _quantity(s, g, variant, context)

@@ -24,18 +24,19 @@ Group closures must be pure functions.
 
 Conventions
 -----------
-* The parameter ``s`` is a scalar; everything else is array-valued, one
-  call per series.  ``phi0(s, t)`` and ``zeta(t)`` take an array of
-  times and return one value per time; ``phi1(s, x)`` and ``xi(x)`` take
-  an (M, n) array of configurations, component axis last, and return
-  one of the same shape.  A 0-d return (``lambda t: 0.0``) broadcasts.
-  Written with ``x[..., i]`` indexing they also work on one time or one
-  n-vector.
+* The parameter ``s`` is a scalar; everything else is an array, one
+  call per series (a base point is a one-node array).  ``phi0(s, t)``
+  and ``zeta(t)`` take an array of times and return one value per time;
+  ``phi1(s, x)`` and ``xi(x)`` take an (M, n) array of configurations,
+  component axis last, and return one of the same shape.  A 0-d return
+  (``lambda t: 0.0``) broadcasts.  Written with ``x[..., i]`` indexing
+  they also work on one time or one n-vector.
 * ``lam`` (with ``beta``) marks an affine time map
-  phi0_s(t) = e^{lam*s} t + beta(s).  When present it is trusted for the
-  dilation factor d(phi0_s)/dt = e^{lam*s}; otherwise the factor is
-  measured numerically, which keeps the checks meaningful (and failing)
-  for time maps that are not actually affine.
+  phi0_s(t) = e^{lam*s} t + beta(s).  ``dilation_factor`` is the one
+  source of K(s) = d(phi0_s)/dt: e^{lam*s} when ``lam`` is stored, else
+  the least-squares slope of phi0_s over the nodes the check evaluates,
+  which keeps the checks meaningful (and failing) for time maps that
+  are not actually affine.
 * Default parameter samples are s in {-0.5, -0.1, 0.1, 0.5} and 33
   uniformly spaced time nodes: both signs, two magnitudes, no blown-up
   transformed intervals.
@@ -61,25 +62,20 @@ from .lagrangian import (
 DEFAULT_S_SAMPLES = (-0.5, -0.1, 0.1, 0.5)
 DEFAULT_T_COUNT = 33
 
-# step for the centered difference measuring d(phi0_s)/dt when no
-# analytic lam is stored
-_SLOPE_STEP = 1e-6
-
 
 @dataclass(frozen=True)
 class GroupSpec:
     """One-parameter projectable group of transformations.
 
     ``lam`` and ``beta`` are optional: they are only meaningful for
-    affine time maps phi0_s(t) = e^{lam*s} t + beta(s), and checks that
-    need the dilation factor fall back to measuring it when ``lam`` is
-    absent.  (The field is named ``lam`` because ``lambda`` is a
-    keyword.)
+    affine time maps phi0_s(t) = e^{lam*s} t + beta(s); without ``lam``
+    ``dilation_factor`` measures the factor.  (The field is named
+    ``lam`` because ``lambda`` is a keyword.)
     """
 
-    phi0: Callable[[float, float], float] = field(repr=False)
+    phi0: Callable[[float, np.ndarray], np.ndarray] = field(repr=False)
     phi1: Callable[[float, np.ndarray], np.ndarray] = field(repr=False)
-    zeta: Callable[[float], float] = field(repr=False)
+    zeta: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     xi: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     lam: Optional[float] = None
     beta: Optional[Callable[[float], float]] = field(default=None, repr=False)
@@ -219,15 +215,13 @@ def _fitted_slope(g: GroupSpec, s: float, t_arr: np.ndarray) -> float:
     return float(np.polyfit(t_arr, _time_map(g, s, t_arr), 1)[0])
 
 
-def dilation_factor(g: GroupSpec, s: float, t_ref: float) -> float:
-    """d(phi0_s)/dt: analytic e^{lam*s} when lam is stored, else a
-    centered difference at t_ref (only correct for affine maps, which is
-    the class the chain rule addresses)."""
+def dilation_factor(g: GroupSpec, s: float, t_arr: np.ndarray) -> float:
+    """K(s) = d(phi0_s)/dt: e^{lam*s} when lam is stored, else the
+    least-squares slope of phi0_s over the nodes t_arr (exact for the
+    affine maps the chain rule addresses)."""
     if g.lam is not None:
         return math.exp(g.lam * s)
-    lo = g.phi0(s, t_ref - _SLOPE_STEP)
-    hi = g.phi0(s, t_ref + _SLOPE_STEP)
-    return (hi - lo) / (2.0 * _SLOPE_STEP)
+    return _fitted_slope(g, s, t_arr)
 
 
 def _space_map(g: GroupSpec, s: float, values: np.ndarray) -> np.ndarray:
@@ -330,22 +324,14 @@ def check_localization(
     s_arr = _s_array(s_samples)
     t_arr = _t_array(t_samples, lo=a, hi=a + 1.0)
 
-    endpoint = np.max([abs(float(g.phi0(s, a)) - a) for s in s_arr])
+    endpoint = np.max([abs(_time_map(g, s, np.array([a]))[0] - a) for s in s_arr])
     if not endpoint <= tol:  # a NaN base point counts as moved
-        return _report(
-            endpoint,
-            tol,
-            s_arr.size,
-            "base point moves; dilation-form classification not evaluated",
-        )
+        context = "base point moves; dilation-form classification not evaluated"
+        return _report(endpoint, tol, s_arr.size, context)
 
     worst = endpoint
     for s in s_arr:
-        k = (
-            math.exp(g.lam * s)
-            if g.lam is not None
-            else _fitted_slope(g, float(s), t_arr)
-        )
+        k = dilation_factor(g, float(s), t_arr)
         vals = _time_map(g, s, t_arr)
         worst = np.maximum(worst, np.max(np.abs(vals - (k * (t_arr - a) + a))))
     context = f"base point fixed; dilation form about a = {a:g} verified"
@@ -362,10 +348,10 @@ def check_chain_rule(
     Caputo derivative of y o (phi0_s)^{-1} on the transformed interval
     [phi0_s(a), phi0_s(b)] (transformed base point), the right side is
     the Caputo derivative of y on the original grid scaled by K^{-alpha}
-    with K = d(phi0_s)/dt.  For affine time maps the transformed nodes
-    are again uniform, so resampling is a formality; the comparison is
-    still meaningful (and fails) for non-affine maps, where K is
-    measured at the interval midpoint.
+    with K = ``dilation_factor`` over the grid nodes.  For affine time
+    maps the transformed nodes are again uniform, so resampling is a
+    formality; the comparison is still meaningful (and fails) for
+    non-affine maps, where K is the least-squares slope over the nodes.
     """
     o = _order(alpha)
     _require_defined(x, "check_chain_rule")
@@ -375,7 +361,7 @@ def check_chain_rule(
     tau_nodes = _time_map(g, s, grid.nodes)
     y_vals = _space_map(g, s, x.values)
     z = _resample(tau_nodes, y_vals, tau_nodes[0], grid.n_sub)
-    k_factor = dilation_factor(g, s, 0.5 * (grid.a + grid.b))
+    k_factor = dilation_factor(g, s, grid.nodes)
 
     lhs = caputo_left(z.grid, o, z).values
     rhs = (
@@ -407,8 +393,9 @@ def check_invariance(
 
         integral of L(phi0_s(t), phi1_s(x), K^{-alpha} D^alpha[phi1_s o x]) * K,
 
-    valid when the time map is affine with slope K.  The reported
-    violation is the worst |gap| / (|reference| + 1) over the samples.
+    valid when the time map is affine with slope K (``dilation_factor``
+    on the grid nodes).  The reported violation is the worst
+    |gap| / (|reference| + 1) over the samples.
 
     With ``fixed_base=True`` the transformed action is instead evaluated
     on the transformed grid while keeping the operator base point at a
@@ -436,7 +423,7 @@ def check_invariance(
             on_z = _Along(L, z, o, "check_invariance")
             transformed = float(np.trapezoid(on_z.at("eval"), dx=z.grid.h))
         else:
-            k_factor = dilation_factor(g, s, 0.5 * (grid.a + grid.b))
+            k_factor = dilation_factor(g, s, grid.nodes)
             times = _time_map(g, s, grid.nodes)
             scaled = along.left(y_vals) * k_factor ** (-o.alpha)
             series = _node_series(L, "eval", times, y_vals, scaled) * k_factor

@@ -510,12 +510,34 @@ class TestExitCodes:
                 "problem = harmonic2d\nalphas = 0.5\nn_sub = 2\n"
                 "derivative_convention = rl\n",
             ),
+            (
+                "check",
+                "problem = example2\nalphas = 0.5\nn_sub = 40\ngroup = dilation, 710\n",
+            ),
+            (
+                "check",
+                "problem = example2\nalphas = 0.5\nn_sub = 40\n"
+                "group = localized_dilation, 2000\n",
+            ),
+            (
+                "check",
+                "problem = example2\nalphas = 0.5\nn_sub = 40\n"
+                "group = localized_dilation, -800\n",
+            ),
+            (
+                "check",
+                "problem = harmonic2d\nalphas = 0.5\nn_sub = 40\ngroup = dilation, 1000\n",
+            ),
         ],
         ids=[
             "example2-negative-a-noether",
             "example2-negative-a-check",
             "decreasing-time-map-check",
             "one-defined-node-noether",
+            "overflowing-dilation-check",
+            "overflowing-localized-dilation-check",
+            "overflowing-negative-localized-dilation-check",
+            "overflowing-dilation-harmonic2d-check",
         ],
     )
     def test_unusable_config_exits_1(self, tmp_path, capsys, command, text):
@@ -523,6 +545,45 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "problem = harmonic2d\nalphas = 0.5\nn_sub = 40\ndrift_tolerance = abc\n",
+                "key 'drift_tolerance': not a number: 'abc'",
+            ),
+            (
+                "problem = harmonic2d\nalphas = 0.5\nn_sub = 40\ndrift_tolerance = inf\n",
+                "key 'drift_tolerance': must be finite, got inf",
+            ),
+            ("problem = harmonic2d\nalphas = 0.5, x\nn_sub = 40\n", "key 'alphas': not a number list"),
+            ("problem = harmonic2d\nalphas = ,\nn_sub = 40\n", "key 'alphas': empty list"),
+            ("problem = harmonic2d\nalphas = 0.5\nn_sub = ten\n", "key 'n_sub': not an integer: 'ten'"),
+            (
+                "problem = oscillator\nomega = -1\nalphas = 0.5\nn_sub = 40\n",
+                "key 'omega': must be positive",
+            ),
+            ("problem = custom\nkappa = -1\nalphas = 0.5\nn_sub = 40\n", "missing key 'bc'"),
+            ("problem = harmonic2d\nalphas = 0.5\nn_sub = 40\noutputs =\n", "key 'outputs': empty path"),
+        ],
+        ids=[
+            "drift-tolerance-not-a-number",
+            "drift-tolerance-infinite",
+            "alphas-not-a-number-list",
+            "alphas-empty-list",
+            "n-sub-not-an-integer",
+            "omega-not-positive",
+            "custom-without-bc",
+            "outputs-empty-path",
+        ],
+    )
+    def test_config_error_message(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path, text)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert message in err
 
 
 class TestConventionHeader:

@@ -89,6 +89,29 @@ class TestTrajectory:
             g.nodes[0] = 5.0
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda g: F.make_trajectory(g, g.nodes, mask=np.ones(8, dtype=bool)),
+            r"mask must have shape \(9,\)",
+        ),
+        (
+            lambda g: F.make_trajectory(g, g.nodes, mask=np.ones((9, 1), dtype=bool)),
+            r"mask must have shape \(9,\)",
+        ),
+        (
+            lambda g: F.caputo_left(g, 0.5, F.make_trajectory(grid01(16), grid01(16).nodes)),
+            "different grids",
+        ),
+    ],
+    ids=["make_trajectory-short-mask", "make_trajectory-2d-mask", "caputo_left-other-grid"],
+)
+def test_argument_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(grid01(8))
+
+
 class TestIntegralMatrices:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_left_constant_exactness(self, alpha):

@@ -381,3 +381,9 @@ class TestQuantitySeries:
         g = F.make_grid(0.0, 1.0, 4)
         with pytest.raises(ValueError):
             Lmod.make_series(g, [1.0, 2.0])
+
+    @pytest.mark.parametrize("shape", [(4,), (5, 1)], ids=["short", "2d"])
+    def test_mask_shape_enforced(self, shape):
+        g = F.make_grid(0.0, 1.0, 4)
+        with pytest.raises(ValueError, match="mask shape mismatch"):
+            Lmod.make_series(g, np.zeros(5), mask=np.ones(shape, dtype=bool))

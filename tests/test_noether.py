@@ -1,6 +1,8 @@
 """Tests for conserved-quantity assembly, drift statistics, and the
 invariance/conservation residual series."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -674,3 +676,82 @@ class TestSinglePath:
         for module in (NO, SY):
             for name in ("rl_right", "rl_left", "_LEFT_OPS"):
                 assert not hasattr(module, name), (module.__name__, name)
+
+
+# every public function returning a QuantitySeries, in each variant;
+# make_series is the constructor and carries its caller's context
+CONVENTIONS = ("caputo", "rl")
+ROTATION = SY.space_rotation()
+SERIES_CALLS = {
+    **{
+        f"noether_quantity-{v}-{c}": lambda L, x, u, v=v, c=c: NO.noether_quantity(
+            L, ROTATION, x, 0.5, variant=v, convention=c
+        )
+        for v in ("conslaw", "conslaw2")
+        for c in CONVENTIONS
+    },
+    **{
+        f"autonomous_quantity-{c}": lambda L, x, u, c=c: NO.autonomous_quantity(
+            L, x, 0.5, convention=c
+        )
+        for c in CONVENTIONS
+    },
+    **{
+        f"infinitesimal_criterion_residual-{w}-{c}": (
+            lambda L, x, u, w=w, c=c: NO.infinitesimal_criterion_residual(
+                L, ROTATION, x, 0.5, ce_alpha_factor=w, convention=c
+            )
+        )
+        for w in (True, False)
+        for c in CONVENTIONS
+    },
+    **{
+        f"weak_theorem_residual-{c}": lambda L, x, u, c=c: NO.weak_theorem_residual(
+            L, ROTATION, x, 0.5, convention=c
+        )
+        for c in CONVENTIONS
+    },
+    **{
+        f"extended_el_residual-{w}": lambda L, x, u, w=w: LG.extended_el_residual(
+            LG.extend(L, 0.5), x, w
+        )[1]
+        for w in (True, False)
+    },
+    "oscillator_quantity": lambda L, x, u: NO.oscillator_quantity(u, 1.0, 0.5),
+    "second_el_quantity": lambda L, x, u: LG.second_el_quantity(L, x, 0.5),
+}
+
+
+class TestSeriesContext:
+    def test_every_public_series_function_is_covered(self):
+        annotated = {
+            name
+            for module in (LG, NO)
+            for name, fn in vars(module).items()
+            if inspect.isfunction(fn)
+            and not name.startswith("_")
+            and fn.__module__ == module.__name__
+            and inspect.signature(fn).return_annotation == "QuantitySeries"
+        }
+        assert "noether_quantity" in annotated
+        covered = {name.split("-")[0] for name in SERIES_CALLS}
+        assert annotated - {"make_series"} <= covered
+
+    @pytest.mark.parametrize("name", sorted(SERIES_CALLS))
+    def test_context_names_d_b_exactly_when_applied(self, name, monkeypatch):
+        calls = []
+        op = LG.rl_right
+
+        def counted(grid, o, y):
+            calls.append(y)
+            return op(grid, o, y)
+
+        monkeypatch.setattr(LG, "rl_right", counted)
+        grid = F.make_grid(0.0, 1.0, 32)
+        s = grid.nodes
+        x = F.make_trajectory(grid, np.stack([np.sin(s), s + s**2], axis=1))
+        u = F.make_trajectory(grid, np.sin(s))
+        series = SERIES_CALLS[name](PR.kappa_lagrangian(-1.0, dim=2), x, u)
+        assert isinstance(series, LG.QuantitySeries)
+        assert series.context
+        assert ("D_b-" in series.context) == bool(calls), (series.context, len(calls))

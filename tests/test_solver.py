@@ -59,6 +59,19 @@ class TestProblemValidation:
                 grid=grid, alpha=0.5, dim=1, kappa=np.nan, bc=S.dirichlet(1.0, 2.0)
             )
 
+    @pytest.mark.parametrize(
+        "bc, message",
+        [
+            (S.dirichlet([np.nan], [1.0]), "xa must be finite"),
+            (S.initial([0.0], [np.inf]), "du0 must be finite"),
+        ],
+        ids=["dirichlet-nan-xa", "initial-inf-du0"],
+    )
+    def test_nonfinite_boundary_data_rejected(self, bc, message):
+        grid = F.make_grid(0.0, 1.0, 8)
+        with pytest.raises(ValueError, match=message):
+            S.LinearProblem(grid=grid, alpha=0.5, dim=1, kappa=-1.0, bc=bc)
+
     def test_alpha_out_of_range_rejected(self):
         grid = F.make_grid(0.0, 1.0, 8)
         with pytest.raises(ValueError):

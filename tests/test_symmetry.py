@@ -1,5 +1,6 @@
 """Tests for transformation groups, their classification, and invariance."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -129,6 +130,13 @@ class TestGroupLaw:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             G.check_group_law(G.dilation(1.0), s_samples=[])
+
+    @pytest.mark.parametrize(
+        "check", [G.check_group_law, G.check_admissible], ids=["group_law", "admissible"]
+    )
+    def test_empty_time_samples_rejected(self, check):
+        with pytest.raises(ValueError, match="t_samples must be non-empty"):
+            check(G.dilation(1.0), t_samples=[])
 
 
 class TestAdmissible:
@@ -415,3 +423,96 @@ class TestNaNViolations:
         report = G.check_localization(nan_time_map(0.1, base_ok=True), 0.0)
         assert not report.passed
         assert math.isnan(report.max_violation)
+
+
+# quadratic_time's violations on q = (t, t^2) at n_sub = 400 (chain rule
+# at s = 0.5; invariance of quadratic_lagrangian() over the default s),
+# recorded when K(s) was a centered difference at the interval midpoint;
+# on uniform nodes the least-squares slope of a quadratic map is its
+# derivative there
+QUADRATIC_TIME_VIOLATIONS = {
+    0.5: (0.1355326365910685, 0.07138231777435154),
+    0.8: (0.2487707485536348, 0.1539658687419202),
+}
+
+
+def recording_dilation(c, shapes):
+    """phi0_s(t) = e^{cs} t, written for arrays only (``t.copy()``) and
+    without ``lam``; every call appends the type and shape of ``t``."""
+
+    def phi0(s, t):
+        shapes.append((type(t), np.shape(t)))
+        return np.exp(c * s) * t.copy()
+
+    return G.GroupSpec(
+        phi0=phi0,
+        phi1=lambda s, x: np.asarray(x, dtype=float),
+        zeta=lambda t: c * t,
+        xi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+    )
+
+
+class TestDilationFactor:
+    def setup_method(self):
+        self.grid = F.make_grid(0.0, 1.0, 400)
+        self.q = P.example2_trajectory(self.grid)
+
+    def test_without_lam_is_the_fitted_slope(self):
+        g = G.quadratic_time()
+        t = self.grid.nodes
+        assert G.dilation_factor(g, 0.3, t) == G._fitted_slope(g, 0.3, t)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8])
+    def test_exact_symmetry_without_lam_passes_a_tight_chain_rule(self, alpha):
+        bare = dataclasses.replace(G.dilation(-1.0), lam=None, beta=None)
+        report = G.check_chain_rule(bare, self.q, alpha, 0.5, tol=1e-12)
+        assert report.passed, report.max_violation
+
+    def test_array_only_time_map_passes_every_check(self):
+        g = recording_dilation(-1.0, [])
+        L = P.example2_lagrangian(0.5)
+        reports = [
+            G.check_group_law(g),
+            G.check_admissible(g),
+            G.check_localization(g, 0.0),
+            G.check_chain_rule(g, self.q, 0.5, 0.5, tol=1e-12),
+            G.check_invariance(L, g, self.q, 0.5, tol=1e-12),
+            G.check_invariance(L, g, self.q, 0.5, tol=1e-12, fixed_base=True),
+        ]
+        assert all(r.passed for r in reports), [r.max_violation for r in reports]
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8])
+    def test_quadratic_time_violations_unchanged(self, alpha):
+        g = G.quadratic_time()
+        chain = G.check_chain_rule(g, self.q, alpha, 0.5).max_violation
+        invariance = G.check_invariance(quadratic_lagrangian(), g, self.q, alpha)
+        expected_chain, expected_invariance = QUADRATIC_TIME_VIOLATIONS[alpha]
+        assert chain == pytest.approx(expected_chain, rel=1e-9)
+        assert invariance.max_violation == pytest.approx(expected_invariance, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda g, q: G.check_group_law(g),
+            lambda g, q: G.check_admissible(g),
+            lambda g, q: G.check_localization(g, 0.0),
+            lambda g, q: G.check_chain_rule(g, q, 0.5, 0.5),
+            lambda g, q: G.check_invariance(P.example2_lagrangian(0.5), g, q, 0.5),
+            lambda g, q: G.check_invariance(
+                P.example2_lagrangian(0.5), g, q, 0.5, fixed_base=True
+            ),
+        ],
+        ids=[
+            "group_law",
+            "admissible",
+            "localization",
+            "chain_rule",
+            "invariance",
+            "invariance-fixed-base",
+        ],
+    )
+    def test_time_map_is_only_called_on_arrays(self, check):
+        shapes = []
+        check(recording_dilation(0.5, shapes), self.q)
+        assert shapes
+        assert all(kind is np.ndarray and len(shape) == 1 for kind, shape in shapes), shapes

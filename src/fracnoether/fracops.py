@@ -155,6 +155,11 @@ def make_trajectory(grid: Grid, values, mask=None) -> Trajectory:
     return Trajectory(grid=grid, dim=arr.shape[1], values=arr, mask=m)
 
 
+def _require_defined(x: Trajectory, what: str) -> None:
+    if not np.all(x.mask):
+        raise ValueError(f"{what} requires a fully defined trajectory")
+
+
 def left_integral_matrix(grid: Grid, alpha) -> np.ndarray:
     """Left Riemann-Liouville integral I^alpha_{a+} as a read-only
     (N+1) x (N+1) array.
@@ -271,8 +276,7 @@ def check_composition(grid: Grid, alpha, x: Trajectory) -> CompositionReport:
     quadrature: the first-panel endpoint contribution is dropped rather than
     extrapolated, which keeps the residual decreasing under refinement.
     """
-    if not np.all(x.mask):
-        raise ValueError("check_composition requires a fully defined trajectory")
+    _require_defined(x, "check_composition")
     o = _order(alpha)
     integ = left_integral_matrix(grid, o)
     cap = caputo_left(grid, o, x)

@@ -32,6 +32,7 @@ from .fracops import (
     Grid,
     Trajectory,
     _order,
+    _require_defined,
     caputo_left,
     make_trajectory,
     rl_left,
@@ -183,11 +184,6 @@ def extend(L: LagrangianSpec, alpha) -> ExtendedLagrangianSpec:
     ``ce_alpha_factor=False``.
     """
     return ExtendedLagrangianSpec(base=L, alpha=_order(alpha))
-
-
-def _require_defined(x: Trajectory, what: str) -> None:
-    if not np.all(x.mask):
-        raise ValueError(f"{what} requires a fully defined trajectory")
 
 
 def _as_series(value, shape, what):

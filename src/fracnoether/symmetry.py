@@ -31,12 +31,13 @@ Conventions
   component axis last, and return one of the same shape.  A 0-d return
   (``lambda t: 0.0``) broadcasts.  Written with ``x[..., i]`` indexing
   they also work on one time or one n-vector.
-* ``lam`` (with ``beta``) marks an affine time map
-  phi0_s(t) = e^{lam*s} t + beta(s).  ``dilation_factor`` is the one
-  source of K(s) = d(phi0_s)/dt: e^{lam*s} when ``lam`` is stored, else
-  the least-squares slope of phi0_s over the nodes the check evaluates,
-  which keeps the checks meaningful (and failing) for time maps that
-  are not actually affine.
+* ``lam`` marks an affine time map with slope e^{lam*s}.
+  ``dilation_factor`` is the one source of K(s) = d(phi0_s)/dt:
+  e^{lam*s} when ``lam`` is stored, else the least-squares slope of
+  phi0_s over the nodes the check evaluates, which keeps the checks
+  meaningful (and failing) for time maps that are not actually affine.
+* The time-map checks are scale-free: a gap between time-map values is
+  relative to max(1, |value|), so rounding is judged alike at any scale.
 * Default parameter samples are s in {-0.5, -0.1, 0.1, 0.5} and 33
   uniformly spaced time nodes: both signs, two magnitudes, no blown-up
   transformed intervals.
@@ -50,14 +51,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fracops import Trajectory, _order, caputo_left, make_grid, make_trajectory
-from .lagrangian import (
-    LagrangianSpec,
-    _Along,
-    _as_series,
-    _node_series,
+from .fracops import (
+    Trajectory,
+    _order,
     _require_defined,
+    caputo_left,
+    make_grid,
+    make_trajectory,
 )
+from .lagrangian import LagrangianSpec, _Along, _as_series, _node_series
 
 DEFAULT_S_SAMPLES = (-0.5, -0.1, 0.1, 0.5)
 DEFAULT_T_COUNT = 33
@@ -67,10 +69,9 @@ DEFAULT_T_COUNT = 33
 class GroupSpec:
     """One-parameter projectable group of transformations.
 
-    ``lam`` and ``beta`` are optional: they are only meaningful for
-    affine time maps phi0_s(t) = e^{lam*s} t + beta(s); without ``lam``
-    ``dilation_factor`` measures the factor.  (The field is named
-    ``lam`` because ``lambda`` is a keyword.)
+    ``lam`` is optional: it states that the time map is affine with
+    slope e^{lam*s}; without it ``dilation_factor`` measures the slope.
+    (The field is named ``lam`` because ``lambda`` is a keyword.)
     """
 
     phi0: Callable[[float, np.ndarray], np.ndarray] = field(repr=False)
@@ -78,7 +79,6 @@ class GroupSpec:
     zeta: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     xi: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     lam: Optional[float] = None
-    beta: Optional[Callable[[float], float]] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -106,36 +106,27 @@ def _report(violation: float, tol: float, samples: int, context: str) -> CheckRe
 
 
 def time_translation() -> GroupSpec:
-    """phi_s(t, x) = (t + s, x); affine with lam = 0, beta(s) = s."""
+    """phi_s(t, x) = (t + s, x); affine with lam = 0."""
     return GroupSpec(
         phi0=lambda s, t: t + s,
         phi1=lambda s, x: np.asarray(x, dtype=float),
         zeta=lambda t: 1.0,
         xi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         lam=0.0,
-        beta=lambda s: 0.0 + s,
     )
 
 
 def dilation(c: float) -> GroupSpec:
     """phi_s(t, x) = (e^{cs} t, x), the scaling group about t = 0."""
-    c = float(c)
-    return GroupSpec(
-        phi0=lambda s, t: math.exp(c * s) * t,
-        phi1=lambda s, x: np.asarray(x, dtype=float),
-        zeta=lambda t: c * t,
-        xi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        lam=c,
-        beta=lambda s: 0.0,
-    )
+    return localized_dilation(c, 0.0)
 
 
 def localized_dilation(lam: float, a: float) -> GroupSpec:
     """phi0_s(t) = e^{lam*s}(t - a) + a, the dilation fixing t = a.
 
     This is the general member of the family that is simultaneously
-    affine in t and localized at the base point; for a = 0 it reduces to
-    ``dilation(lam)``.
+    affine in t and localized at the base point; ``dilation(lam)`` is
+    its a = 0 member.
     """
     lam = float(lam)
     a = float(a)
@@ -145,7 +136,6 @@ def localized_dilation(lam: float, a: float) -> GroupSpec:
         zeta=lambda t: lam * (t - a),
         xi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         lam=lam,
-        beta=lambda s: a * (1.0 - math.exp(lam * s)),
     )
 
 
@@ -167,7 +157,6 @@ def space_rotation() -> GroupSpec:
         zeta=lambda t: 0.0,
         xi=lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
         lam=0.0,
-        beta=lambda s: 0.0,
     )
 
 
@@ -189,22 +178,16 @@ def quadratic_time() -> GroupSpec:
 # helpers
 
 
-def _s_array(s_samples) -> np.ndarray:
-    arr = np.atleast_1d(
-        np.asarray(DEFAULT_S_SAMPLES if s_samples is None else s_samples, dtype=float)
-    )
+def _samples(given, default, name: str) -> np.ndarray:
+    arr = np.atleast_1d(np.asarray(default if given is None else given, dtype=float))
     if arr.size == 0:
-        raise ValueError("s_samples must be non-empty")
+        raise ValueError(f"{name} must be non-empty")
     return arr
 
 
-def _t_array(t_samples, lo=0.0, hi=1.0) -> np.ndarray:
-    if t_samples is None:
-        return np.linspace(lo, hi, DEFAULT_T_COUNT)
-    arr = np.atleast_1d(np.asarray(t_samples, dtype=float))
-    if arr.size == 0:
-        raise ValueError("t_samples must be non-empty")
-    return arr
+def _gap(value, reference, scale) -> float:
+    """Worst |value - reference| / max(1, |scale|); a NaN is the result."""
+    return np.max(np.abs(value - reference) / np.maximum(1.0, np.abs(scale)))
 
 
 def _time_map(g: GroupSpec, s: float, t_arr: np.ndarray) -> np.ndarray:
@@ -236,11 +219,14 @@ def _resample(
     """Interpolate values sampled at the mapped nodes tau_nodes onto the
     uniform grid from a to tau_nodes[-1]; the time map must be strictly
     increasing, else no transformed grid exists."""
-    if not np.all(np.diff(tau_nodes) > 0.0):
-        raise ValueError(
-            "phi0_s is not strictly increasing on the interval; "
-            "no transformed grid exists"
+    steps = np.diff(tau_nodes)
+    if not np.all(steps > 0.0):
+        fault = (
+            "maps distinct nodes to equal times"  # increasing, but rounding merged them
+            if np.all(steps >= 0.0)
+            else "is not strictly increasing on the interval"
         )
+        raise ValueError(f"phi0_s {fault}; no transformed grid exists")
     tgrid = make_grid(a, tau_nodes[-1], n_sub)
     z_vals = np.empty_like(values)
     for j in range(values.shape[1]):
@@ -258,37 +244,23 @@ def check_group_law(
     """Composition law of the time map over all ordered pairs of
     parameter samples: phi0_{s+s'} = phi0_s o phi0_{s'} pointwise.
 
-    When the affine data (lam, beta) is stored, two derived laws are
-    checked as well: beta(s+s') = e^{lam*s} beta(s') + beta(s), and the
-    multiplicative law K(s+s') = K(s) K(s') on the measured dilation
-    factors.  (The additive variant sometimes quoted for the factor is
-    inconsistent with K(s) = e^{lam*s}; the multiplicative law is what
-    an exponential satisfies.)
+    For the affine maps that ``check_admissible`` accepts, this one law
+    implies the laws of the offset and of the slope K(s+s') = K(s) K(s').
+    Each gap is relative to max(1, |phi0_{s+s'}(t)|, K(s) |phi0_{s'}(t)|):
+    phi0_s scales the rounding of the inner value by K(s).
     """
-    s_arr = _s_array(s_samples)
-    t_arr = _t_array(t_samples)
-    affine = g.lam is not None and g.beta is not None
+    s_arr = _samples(s_samples, DEFAULT_S_SAMPLES, "s_samples")
+    t_arr = _samples(t_samples, np.linspace(0.0, 1.0, DEFAULT_T_COUNT), "t_samples")
 
     worst = 0.0
-    slopes = {}
-    if affine:
-        for s in np.concatenate([s_arr, np.add.outer(s_arr, s_arr).ravel()]):
-            slopes.setdefault(float(s), _fitted_slope(g, float(s), t_arr))
     for s in s_arr:
+        k = dilation_factor(g, float(s), t_arr)
         for sp in s_arr:
             direct = _time_map(g, s + sp, t_arr)
-            composed = _time_map(g, s, _time_map(g, sp, t_arr))
-            worst = np.maximum(worst, np.max(np.abs(direct - composed)))
-            if affine:
-                b_direct = float(g.beta(s + sp))
-                b_law = math.exp(g.lam * s) * float(g.beta(sp)) + float(g.beta(s))
-                worst = np.maximum(worst, abs(b_direct - b_law))
-                worst = np.maximum(
-                    worst,
-                    abs(slopes[float(s + sp)] - slopes[float(s)] * slopes[float(sp)]),
-                )
-    laws = "composition, beta and factor laws" if affine else "composition law"
-    context = f"{laws} on {s_arr.size}^2 parameter pairs x {t_arr.size} nodes"
+            inner = _time_map(g, sp, t_arr)
+            scale = np.maximum(np.abs(direct), abs(k) * np.abs(inner))
+            worst = np.maximum(worst, _gap(_time_map(g, s, inner), direct, scale))
+    context = f"composition law on {s_arr.size}^2 parameter pairs x {t_arr.size} nodes"
     return _report(worst, tol, s_arr.size**2 * t_arr.size, context)
 
 
@@ -296,9 +268,10 @@ def check_admissible(
     g: GroupSpec, s_samples=None, t_samples=None, tol: float = 1e-9
 ) -> CheckReport:
     """Affinity of t -> phi0_s(t): deviation from the per-s least-squares
-    affine fit, plus (when lam is stored) the fitted slope vs e^{lam*s}."""
-    s_arr = _s_array(s_samples)
-    t_arr = _t_array(t_samples)
+    affine fit relative to max(1, max |phi0_s|), plus (when lam is
+    stored) the fitted slope vs e^{lam*s} relative to max(1, e^{lam*s})."""
+    s_arr = _samples(s_samples, DEFAULT_S_SAMPLES, "s_samples")
+    t_arr = _samples(t_samples, np.linspace(0.0, 1.0, DEFAULT_T_COUNT), "t_samples")
     if t_arr.size < 3:
         raise ValueError("need at least 3 time samples to judge affinity")
 
@@ -306,9 +279,11 @@ def check_admissible(
     for s in s_arr:
         vals = _time_map(g, s, t_arr)
         coeffs = np.polyfit(t_arr, vals, 1)
-        worst = np.maximum(worst, np.max(np.abs(vals - np.polyval(coeffs, t_arr))))
+        fit = np.polyval(coeffs, t_arr)
+        worst = np.maximum(worst, _gap(fit, vals, np.max(np.abs(vals))))
         if g.lam is not None:
-            worst = np.maximum(worst, abs(float(coeffs[0]) - math.exp(g.lam * s)))
+            k = math.exp(g.lam * s)
+            worst = np.maximum(worst, _gap(coeffs[0], k, k))
     slope_note = ", slope vs e^(lam s)" if g.lam is not None else ""
     context = f"affine fit deviation{slope_note} at {s_arr.size} parameters"
     return _report(worst, tol, s_arr.size * t_arr.size, context)
@@ -319,12 +294,12 @@ def check_localization(
 ) -> CheckReport:
     """Fixed base point phi0_s(a) = a; when that holds, also the
     classification phi0_s(t) = K(s)(t - a) + a of groups that are both
-    affine and localized."""
+    affine and localized.  Gaps are relative to max(1, |phi0_s(t)|)."""
     a = float(a)
-    s_arr = _s_array(s_samples)
-    t_arr = _t_array(t_samples, lo=a, hi=a + 1.0)
+    s_arr = _samples(s_samples, DEFAULT_S_SAMPLES, "s_samples")
+    t_arr = _samples(t_samples, np.linspace(a, a + 1.0, DEFAULT_T_COUNT), "t_samples")
 
-    endpoint = np.max([abs(_time_map(g, s, np.array([a]))[0] - a) for s in s_arr])
+    endpoint = np.max([_gap(_time_map(g, s, np.array([a])), a, a) for s in s_arr])
     if not endpoint <= tol:  # a NaN base point counts as moved
         context = "base point moves; dilation-form classification not evaluated"
         return _report(endpoint, tol, s_arr.size, context)
@@ -333,7 +308,7 @@ def check_localization(
     for s in s_arr:
         k = dilation_factor(g, float(s), t_arr)
         vals = _time_map(g, s, t_arr)
-        worst = np.maximum(worst, np.max(np.abs(vals - (k * (t_arr - a) + a))))
+        worst = np.maximum(worst, _gap(vals, k * (t_arr - a) + a, vals))
     context = f"base point fixed; dilation form about a = {a:g} verified"
     return _report(worst, tol, s_arr.size * t_arr.size, context)
 
@@ -403,7 +378,7 @@ def check_invariance(
     makes sense for groups fixing the base point, so phi0_s(a) != a
     raises ValueError.
     """
-    s_arr = _s_array(s_samples)
+    s_arr = _samples(s_samples, DEFAULT_S_SAMPLES, "s_samples")
     along = _Along(L, x, alpha, "check_invariance")
     o, grid = along.o, along.grid
     reference = float(np.trapezoid(along.at("eval"), dx=grid.h))

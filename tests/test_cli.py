@@ -391,6 +391,16 @@ class TestCheckCommand:
         ]
         assert all(r[1] == "true" for r in rows)
 
+    def test_exact_dilation_at_a_large_rate_passes(self, tmp_path, capsys):
+        # e^{25 s} reaches e^{25} on the sampled pairs; the time-map checks
+        # judge rounding relative to the values, so the exact group passes
+        cfg = write_config(
+            tmp_path,
+            "problem = example2\nalphas = 0.5\nn_sub = 40\ngroup = dilation, 25\n",
+        )
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr() == ("", "")
+
     def test_translation_fails_only_localization(self, tmp_path, capsys):
         cfg = write_config(tmp_path, HARMONIC)
         out = tmp_path / "out"
@@ -584,6 +594,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_time_map_that_merges_nodes_is_named(self, tmp_path, capsys):
+        # e^s (t - 1e300) + 1e300 is increasing, but in floating point it
+        # maps every node to the same time
+        cfg = write_config(
+            tmp_path,
+            "problem = example2\nalphas = 0.5\nn_sub = 40\n"
+            "group = localized_dilation, 1, 1e300\n",
+        )
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: group 'localized_dilation': phi0_s maps distinct nodes "
+            "to equal times; no transformed grid exists\n"
+        )
 
 
 class TestConventionHeader:

@@ -295,6 +295,11 @@ class TestGmres:
         assert np.array_equal(r, b - a @ x)
         assert 0 < steps <= 12
 
+    def test_breakdown_raises(self):
+        # A = 0: the first Arnoldi step has no direction left to rotate
+        with pytest.raises(S.NumericalFailure, match="GMRES broke down"):
+            S._gmres(lambda v: np.zeros_like(v), lambda v: v, np.ones(8), np.zeros(8), 1.0)
+
 
 class TestAssembledMembers:
     def test_dirichlet_members(self):

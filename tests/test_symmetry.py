@@ -78,11 +78,11 @@ class TestGroupSpecs:
         assert np.allclose(fd, g.xi(x), atol=1e-5)
 
     def test_affine_form_where_declared(self):
-        # phi0_s(t) = e^{lam s} t + beta(s) whenever lam/beta are stored
+        # phi0_s(t) = e^{lam s} t + phi0_s(0) whenever lam is stored
         for g in (G.time_translation(), G.dilation(-0.7), G.localized_dilation(0.3, 2.0)):
             for s in (-0.4, 0.25):
                 for t in (0.1, 1.9):
-                    affine = math.exp(g.lam * s) * t + g.beta(s)
+                    affine = math.exp(g.lam * s) * t + g.phi0(s, 0.0)
                     assert abs(g.phi0(s, t) - affine) < 1e-14
 
     def test_rotation_requires_two_components(self):
@@ -112,7 +112,7 @@ class TestGroupLaw:
     def test_affine_families_pass(self, group):
         report = G.check_group_law(group)
         assert report.passed
-        assert "beta and factor laws" in report.context
+        assert "composition law" in report.context
 
     def test_non_group_fails(self):
         report = G.check_group_law(not_a_group())
@@ -139,6 +139,40 @@ class TestGroupLaw:
             check(G.dilation(1.0), t_samples=[])
 
 
+LARGE_RATES = [-40.0, -25.0, -5.0, 1.0, 20.0, 25.0, 30.0, 40.0]
+
+
+class TestScaleFree:
+    """The time-map checks judge rounding relative to the values, so an
+    exact group passes a tight tolerance at every rate (absolute
+    differences read 1.2e-7 for the group law of dilation(20))."""
+
+    @pytest.mark.parametrize("c", LARGE_RATES)
+    @pytest.mark.parametrize("a", [None, -3.0, 0.5, 2.0], ids=["dilation", "a-3", "a0.5", "a2"])
+    def test_exact_dilations_pass_tightly(self, c, a):
+        g = G.dilation(c) if a is None else G.localized_dilation(c, a)
+        reports = [
+            G.check_group_law(g, tol=1e-12),
+            G.check_admissible(g, tol=1e-12),
+            G.check_localization(g, 0.0 if a is None else a, tol=1e-12),
+        ]
+        assert all(r.passed for r in reports), [r.max_violation for r in reports]
+
+    def test_scaled_non_group_fails(self):
+        # e^{25 s} t + s breaks the offset law by |s'| (e^{25 s} - 1); at
+        # t = 0 that is the whole scale of phi0_s o phi0_s'
+        g = G.GroupSpec(
+            phi0=lambda s, t: math.exp(25.0 * s) * t + s,
+            phi1=lambda s, x: np.asarray(x, dtype=float),
+            zeta=lambda t: 25.0 * t + 1.0,
+            xi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+            lam=25.0,
+        )
+        report = G.check_group_law(g)
+        assert not report.passed
+        assert report.max_violation > 0.5
+
+
 class TestAdmissible:
     @pytest.mark.parametrize(
         "group",
@@ -162,7 +196,6 @@ class TestAdmissible:
             zeta=lambda t: 0.5 * t,
             xi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             lam=0.3,
-            beta=lambda s: 0.0,
         )
         report = G.check_admissible(g)
         assert not report.passed
@@ -464,7 +497,7 @@ class TestDilationFactor:
 
     @pytest.mark.parametrize("alpha", [0.5, 0.8])
     def test_exact_symmetry_without_lam_passes_a_tight_chain_rule(self, alpha):
-        bare = dataclasses.replace(G.dilation(-1.0), lam=None, beta=None)
+        bare = dataclasses.replace(G.dilation(-1.0), lam=None)
         report = G.check_chain_rule(bare, self.q, alpha, 0.5, tol=1e-12)
         assert report.passed, report.max_violation
 

@@ -36,8 +36,9 @@ Conventions
   e^{lam*s} when ``lam`` is stored, else the least-squares slope of
   phi0_s over the nodes the check evaluates, which keeps the checks
   meaningful (and failing) for time maps that are not actually affine.
-* The time-map checks are scale-free: a gap between time-map values is
-  relative to max(1, |value|), so rounding is judged alike at any scale.
+* Group-law gaps are relative to max(1, |value|), affine-fit deviations
+  to max(1, spread of the values): rounding is judged alike at any rate.
+  Localization stays absolute; a moved base point has moved at any size.
 * Default parameter samples are s in {-0.5, -0.1, 0.1, 0.5} and 33
   uniformly spaced time nodes: both signs, two magnitudes, no blown-up
   transformed intervals.
@@ -67,12 +68,8 @@ DEFAULT_T_COUNT = 33
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """One-parameter projectable group of transformations.
-
-    ``lam`` is optional: it states that the time map is affine with
-    slope e^{lam*s}; without it ``dilation_factor`` measures the slope.
-    (The field is named ``lam`` because ``lambda`` is a keyword.)
-    """
+    """One-parameter projectable group; the optional ``lam`` (``lambda`` is
+    a keyword) declares an affine time map with slope e^{lam*s}."""
 
     phi0: Callable[[float, np.ndarray], np.ndarray] = field(repr=False)
     phi1: Callable[[float, np.ndarray], np.ndarray] = field(repr=False)
@@ -246,20 +243,21 @@ def check_group_law(
 
     For the affine maps that ``check_admissible`` accepts, this one law
     implies the laws of the offset and of the slope K(s+s') = K(s) K(s').
-    Each gap is relative to max(1, |phi0_{s+s'}(t)|, K(s) |phi0_{s'}(t)|):
-    phi0_s scales the rounding of the inner value by K(s).
+    Each gap is relative to max(1, |phi0_{s+s'}(t)|, |phi0_s(u)|, |phi0_s(0)|),
+    u = phi0_{s'}(t); for affine phi0_s this is at least K(s)|u|/2, so it
+    covers the rounding of u that phi0_s scales by K(s), reading no lam.
     """
     s_arr = _samples(s_samples, DEFAULT_S_SAMPLES, "s_samples")
     t_arr = _samples(t_samples, np.linspace(0.0, 1.0, DEFAULT_T_COUNT), "t_samples")
 
     worst = 0.0
     for s in s_arr:
-        k = dilation_factor(g, float(s), t_arr)
+        origin = np.abs(_time_map(g, s, np.zeros(1)))
         for sp in s_arr:
             direct = _time_map(g, s + sp, t_arr)
-            inner = _time_map(g, sp, t_arr)
-            scale = np.maximum(np.abs(direct), abs(k) * np.abs(inner))
-            worst = np.maximum(worst, _gap(_time_map(g, s, inner), direct, scale))
+            composed = _time_map(g, s, _time_map(g, sp, t_arr))
+            scale = np.maximum(np.maximum(np.abs(direct), np.abs(composed)), origin)
+            worst = np.maximum(worst, _gap(composed, direct, scale))
     context = f"composition law on {s_arr.size}^2 parameter pairs x {t_arr.size} nodes"
     return _report(worst, tol, s_arr.size**2 * t_arr.size, context)
 
@@ -268,7 +266,7 @@ def check_admissible(
     g: GroupSpec, s_samples=None, t_samples=None, tol: float = 1e-9
 ) -> CheckReport:
     """Affinity of t -> phi0_s(t): deviation from the per-s least-squares
-    affine fit relative to max(1, max |phi0_s|), plus (when lam is
+    affine fit relative to max(1, spread of phi0_s), plus (when lam is
     stored) the fitted slope vs e^{lam*s} relative to max(1, e^{lam*s})."""
     s_arr = _samples(s_samples, DEFAULT_S_SAMPLES, "s_samples")
     t_arr = _samples(t_samples, np.linspace(0.0, 1.0, DEFAULT_T_COUNT), "t_samples")
@@ -280,7 +278,7 @@ def check_admissible(
         vals = _time_map(g, s, t_arr)
         coeffs = np.polyfit(t_arr, vals, 1)
         fit = np.polyval(coeffs, t_arr)
-        worst = np.maximum(worst, _gap(fit, vals, np.max(np.abs(vals))))
+        worst = np.maximum(worst, _gap(fit, vals, np.ptp(vals)))
         if g.lam is not None:
             k = math.exp(g.lam * s)
             worst = np.maximum(worst, _gap(coeffs[0], k, k))
@@ -294,12 +292,12 @@ def check_localization(
 ) -> CheckReport:
     """Fixed base point phi0_s(a) = a; when that holds, also the
     classification phi0_s(t) = K(s)(t - a) + a of groups that are both
-    affine and localized.  Gaps are relative to max(1, |phi0_s(t)|)."""
+    affine and localized."""
     a = float(a)
     s_arr = _samples(s_samples, DEFAULT_S_SAMPLES, "s_samples")
     t_arr = _samples(t_samples, np.linspace(a, a + 1.0, DEFAULT_T_COUNT), "t_samples")
 
-    endpoint = np.max([_gap(_time_map(g, s, np.array([a])), a, a) for s in s_arr])
+    endpoint = np.max([abs(_time_map(g, s, np.array([a]))[0] - a) for s in s_arr])
     if not endpoint <= tol:  # a NaN base point counts as moved
         context = "base point moves; dilation-form classification not evaluated"
         return _report(endpoint, tol, s_arr.size, context)
@@ -308,7 +306,7 @@ def check_localization(
     for s in s_arr:
         k = dilation_factor(g, float(s), t_arr)
         vals = _time_map(g, s, t_arr)
-        worst = np.maximum(worst, _gap(vals, k * (t_arr - a) + a, vals))
+        worst = np.maximum(worst, np.max(np.abs(vals - (k * (t_arr - a) + a))))
     context = f"base point fixed; dilation form about a = {a:g} verified"
     return _report(worst, tol, s_arr.size * t_arr.size, context)
 

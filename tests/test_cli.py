@@ -414,6 +414,18 @@ class TestCheckCommand:
         assert all(v == "true" for k, v in rows.items() if k != "localization")
         assert "localization" in capsys.readouterr().err
 
+    def test_translation_far_from_zero_fails_localization(self, tmp_path, capsys):
+        # the translation moves the base point by 0.5 at any distance from 0
+        cfg = write_config(
+            tmp_path,
+            "problem = harmonic2d\ninterval = 1000000, 1000001\nalphas = 0.5\n"
+            "n_sub = 40\ngroup = time_translation\n",
+        )
+        out = tmp_path / "out"
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 3
+        assert "localization,false,0.5\n" in (out / "checks.csv").read_text()
+        assert "localization" in capsys.readouterr().err
+
     def test_quadratic_time_fails_admissibility_and_chain_rule(self, tmp_path):
         cfg = write_config(
             tmp_path,

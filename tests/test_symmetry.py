@@ -143,9 +143,10 @@ LARGE_RATES = [-40.0, -25.0, -5.0, 1.0, 20.0, 25.0, 30.0, 40.0]
 
 
 class TestScaleFree:
-    """The time-map checks judge rounding relative to the values, so an
-    exact group passes a tight tolerance at every rate (absolute
-    differences read 1.2e-7 for the group law of dilation(20))."""
+    """The group-law and admissibility checks judge rounding relative to
+    the values, so an exact group passes a tight tolerance at every rate
+    (absolute differences read 1.2e-7 for the group law of dilation(20)),
+    while neither a large offset nor a declared rate hides a violation."""
 
     @pytest.mark.parametrize("c", LARGE_RATES)
     @pytest.mark.parametrize("a", [None, -3.0, 0.5, 2.0], ids=["dilation", "a-3", "a0.5", "a2"])
@@ -171,6 +172,41 @@ class TestScaleFree:
         report = G.check_group_law(g)
         assert not report.passed
         assert report.max_violation > 0.5
+
+    def test_declared_rate_does_not_hide_a_composition_failure(self):
+        # t + s^2 has slope 1 whatever lam declares; a scale of e^{40 s}
+        # would shrink the gap 0.5 at s = s' = 0.5 below 1e-8
+        g = dataclasses.replace(not_a_group(), lam=40.0)
+        report = G.check_group_law(g, s_samples=[0.5], tol=1e-6)
+        assert not report.passed
+        assert report.max_violation == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e5, 1e6])
+    def test_added_constant_keeps_a_curved_map_failing(self, offset):
+        # t + s t^2 deviates from its affine fit by about s / 6 whatever
+        # constant is added
+        g = G.GroupSpec(
+            phi0=lambda s, t: t + s * t * t + offset,
+            phi1=lambda s, x: np.asarray(x, dtype=float),
+            zeta=lambda t: t * t,
+            xi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        )
+        report = G.check_admissible(g, tol=1e-6)
+        assert not report.passed
+        assert report.max_violation == pytest.approx(0.0807, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "group, a, moved",
+        [
+            (G.time_translation(), 1e6, 0.5),
+            (G.localized_dilation(1.0, 1000.0005), 1000.0, 3.2e-4),
+        ],
+        ids=["translation", "dilation"],
+    )
+    def test_localization_stays_absolute_far_from_zero(self, group, a, moved):
+        report = G.check_localization(group, a, tol=1e-6)
+        assert not report.passed
+        assert report.max_violation == pytest.approx(moved, rel=0.02)
 
 
 class TestAdmissible:

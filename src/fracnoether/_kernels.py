@@ -1,5 +1,5 @@
-"""Weight profiles, weight matrices and the causal convolution of the
-weakly singular quadratures.
+"""Weight profiles, weight matrices and the two applies of the weakly
+singular quadratures.
 
 On the equidistant partition every node difference t_k - t_i is (k - i)*h,
 so each operator is determined by an O(N) profile of panel weights
@@ -11,10 +11,15 @@ e = 1-alpha, gamma = Gamma(2-alpha).
 Only left-sided weight matrices are built here.  The right-sided operators
 are exactly the left ones flipped in both indices (the kernels mirror under
 s -> a + b - s).  Each is column 0 plus a lower-triangular Toeplitz
-symbol, filled by ``_lower_toeplitz`` and read back by ``toeplitz_parts``
-only.  The L1 derivative and the composition check apply their symbols
-with ``causal_convolve``, and the solver applies I_left @ I_right by two
-FFT convolutions with the integral symbol plus column-0 terms.
+symbol, filled by ``_lower_toeplitz`` and read back by ``LowerToeplitz``
+only.  Two applies use that layout:
+
+* ``LowerToeplitz`` applies a weight matrix: column 0 times the node-0
+  value plus one zero-padded real FFT pair with the symbol, causal to
+  rounding.  The solver's I_left @ I_right and the composition check
+  apply the integral matrix through it.
+* ``causal_convolve`` applies the L1 derivative's profile to slopes,
+  exactly causal.
 
 ``causal_convolve`` computes out[k] = sum_{i<=k} b[k-i]*s[i], at every
 size by one blocked scheme after Hairer, Lubich & Schlichte (SIAM J. Sci.
@@ -39,7 +44,7 @@ __all__ = [
     "causal_convolve",
     "integral_weights",
     "l1_weights",
-    "toeplitz_parts",
+    "LowerToeplitz",
 ]
 
 # blocks of this many nodes are applied directly, longer spans by FFT
@@ -81,17 +86,15 @@ def _near_block(b):
     return seg[LEAF + k[:, None] - k]
 
 
-def causal_convolve(b, s, blocks=None):
+def causal_convolve(b, s, blocks):
     """out[k] = sum_{i<=k} b[k-i] * s[i] for k < len(b), per column of the
     2-D ``s`` (at most len(b) rows); returns shape (len(b), s.shape[1]).
 
     ``blocks`` caches the near-field block (key ``"near"``) and the
-    per-level FFT kernels (key m) of ``b`` across calls (a dict this
-    function fills); ``None`` builds them for this call only.
+    per-level FFT kernels (key m) of ``b`` across calls: a dict this
+    function fills, empty on the first call for ``b``.
     """
     n = b.shape[0]
-    if blocks is None:
-        blocks = {}
     if "near" not in blocks:
         blocks["near"] = _near_block(b)
     c = s.shape[1]
@@ -123,7 +126,7 @@ def _lower_toeplitz(column0, symbol):
     """The n x n matrix with ``column0`` (length n) in column 0,
     symbol[k - j] (symbol of length n - 1) at row k, column j for
     1 <= j <= k, and zeros above the diagonal: one strided copy of windows
-    of the reversed, zero-padded symbol.  ``toeplitz_parts`` inverts it."""
+    of the reversed, zero-padded symbol.  ``LowerToeplitz`` reads it back."""
     n = column0.shape[0]
     padded = np.concatenate([[0.0], symbol[::-1], np.zeros(n - 1)])
     out = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1].copy()
@@ -131,11 +134,30 @@ def _lower_toeplitz(column0, symbol):
     return out
 
 
-def toeplitz_parts(matrix):
-    """(column 0, symbol t[g] = matrix[N, N-g] for g < N) of an (N+1)^2
-    weight matrix of this module, as fresh O(N) arrays."""
-    n = matrix.shape[0]
-    return matrix[:, 0].copy(), matrix[n - 1, :0:-1].copy()
+class LowerToeplitz:
+    """``matrix @ v`` for an (N+1)^2 weight matrix of this module.
+
+    Column 0 and the symbol t[g] = matrix[N, N-g] (g < N) are read off
+    once, as fresh O(N) arrays ``column0`` and ``symbol``, and the
+    symbol's real FFT is kept, zero-padded to a power of two >= 2N: then
+    the first N entries of the cyclic convolution are free of wrap-around.
+    """
+
+    def __init__(self, matrix):
+        n = matrix.shape[0]
+        self.column0 = matrix[:, 0].copy()
+        self.symbol = matrix[n - 1, :0:-1].copy()
+        self._nfft = 1 << (2 * (n - 1) - 1).bit_length()
+        self._spectrum = np.fft.rfft(self.symbol, self._nfft)
+
+    def apply(self, v):
+        """``matrix @ v`` along axis 0, for 1-D or 2-D ``v`` of N+1 rows:
+        column 0 times v[0] plus the symbol's convolution with rows 1..N."""
+        n = self.column0.shape[0]
+        conv = np.fft.irfft(np.fft.rfft(v[1:].T, self._nfft) * self._spectrum, self._nfft)
+        out = np.multiply.outer(self.column0, v[0])
+        out[1:] += conv[..., : n - 1].T
+        return out
 
 
 def integral_weights(n, h, alpha, ga1):

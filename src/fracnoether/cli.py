@@ -11,7 +11,9 @@ Commands (``fracnoether <command> --config <path> [--out <dir>]``):
   ``drift_summary.csv``; exits 3 when a quantity flagged
   ``expected_conserved`` drifts beyond the configured tolerance.
 * ``check`` — run the five structural checks for the configured group
-  and Lagrangian and write ``checks.csv``; exits 3 unless all pass.
+  and Lagrangian and write ``checks.csv``; exits 3 unless all pass.  It
+  runs at one order, the first one listed in ``alphas``, which need not
+  be the smallest.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 check or conservation failure.  Nothing else is ever returned.

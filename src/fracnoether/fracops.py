@@ -13,8 +13,8 @@ Quadrature conventions
   of the matrix applied to a constant ``C`` therefore gives
   ``C * (t_k - a)**alpha / Gamma(1 + alpha)`` up to rounding.  The
   composition check applies the matrix by its column 0 and Toeplitz
-  symbol (``_kernels.toeplitz_parts``), with the causal convolution
-  described next.
+  symbol with ``_kernels.LowerToeplitz``, the solver's apply: one
+  zero-padded real FFT pair, causal to rounding.
 * Caputo derivatives (L1 rule): ``x'`` is taken piecewise constant,
   ``(x[i+1] - x[i]) / h``, and the kernel ``(t - s)**(-alpha)`` is
   integrated exactly.  ``alpha = 1`` falls back to second-order finite
@@ -252,22 +252,6 @@ class CompositionReport:
     rl_residual: float
 
 
-def _apply_left_integral(integ: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """``integ @ vals`` for the left integral matrix, by its structure
-    (``_kernels.toeplitz_parts``): column 0 times the node-0 row, plus the
-    causal convolution (``_kernels.causal_convolve``) of the Toeplitz
-    symbol with rows 1..N, all components at once.
-
-    This stays on one thread: a BLAS product of the dense matrix is memory
-    bound, gains nothing from OpenBLAS's worker threads and leaves them
-    spinning, so its speed follows the load on the other cores.
-    """
-    column0, symbol = _kernels.toeplitz_parts(integ)
-    out = column0[:, None] * vals[0]
-    out[1:] += _kernels.causal_convolve(symbol, vals[1:])
-    return out
-
-
 def check_composition(grid: Grid, alpha, x: Trajectory) -> CompositionReport:
     """Measure how well the discrete operators satisfy the left composition
     rules, as sup norms over the interior nodes 1..N-1 (all components).
@@ -278,13 +262,13 @@ def check_composition(grid: Grid, alpha, x: Trajectory) -> CompositionReport:
     """
     _require_defined(x, "check_composition")
     o = _order(alpha)
-    integ = left_integral_matrix(grid, o)
+    integ = _kernels.LowerToeplitz(left_integral_matrix(grid, o))
     cap = caputo_left(grid, o, x)
     rl = rl_left(grid, o, x)
 
     rl_vals = np.where(rl.mask[:, None], rl.values, 0.0)
     recon_cap, recon_rl = np.hsplit(
-        _apply_left_integral(integ, np.hstack([cap.values, rl_vals])), 2
+        integ.apply(np.hstack([cap.values, rl_vals])), 2
     )
     target_cap = x.values - x.values[0]
     interior = slice(1, grid.n_sub)

@@ -18,10 +18,11 @@ endpoint row requires; the two agree for a = 0.
 
 Neither K nor the system matrix is formed.  Off column 0 the left integral
 matrix L is lower-triangular Toeplitz and the right one is J L J (J the
-reversal), so K X = L(J L(J X)): two applications of L, each a column-0
-term plus one ``numpy.fft`` convolution with the Toeplitz symbol, in
-O(N log N) time and O(N) memory.  ``assemble`` reads both with
-``_kernels.toeplitz_parts`` off the O(N^2) fill of ``right_integral_matrix``.
+reversal), so K X = L(J L(J X)): two applications of L by
+``_kernels.LowerToeplitz``, each a column-0 term plus one FFT convolution
+with the Toeplitz symbol, in O(N log N) time and O(N) memory.
+``assemble`` builds that apply off the O(N^2) fill of
+``right_integral_matrix``.
 
 ``assemble`` decides the boundary kind once.  ``solve`` runs restarted GMRES
 (modified Gram-Schmidt Arnoldi with Givens rotations) per component on the
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._kernels import toeplitz_parts
+from ._kernels import LowerToeplitz
 from .fracops import (
     FractionalOrder,
     Grid,
@@ -135,16 +136,14 @@ class AssembledSystem:
     Dirichlet data, N for initial data); ``anorm`` <= ||A||_inf the larger
     of ||A 1|| and a data row's (1) or the difference row's (2/h) row sum.
 
-    ``symbol_fft`` is the real FFT of the Toeplitz symbol t[g] = L[N, N-g]
-    (g < N) of the left integral matrix L, zero-padded so that the
-    convolution does not wrap around; ``column0`` is L's column 0 and
-    ``shape`` is S.  ``precond`` holds the Fourier eigenvalues of the
-    inverse preconditioner (see ``precondition``).
+    ``left`` applies the left integral matrix L, and its ``symbol`` gives
+    the preconditioner; ``shape`` is S.
+    ``precond`` holds the Fourier eigenvalues of the inverse
+    preconditioner (see ``precondition``).
     """
 
     problem: LinearProblem
-    symbol_fft: np.ndarray = field(repr=False)
-    column0: np.ndarray = field(repr=False)
+    left: LowerToeplitz = field(repr=False)
     shape: np.ndarray = field(repr=False)
     precond: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
@@ -153,20 +152,11 @@ class AssembledSystem:
     anorm: float
     context: str
 
-    def _left(self, v: np.ndarray) -> np.ndarray:
-        """L v: column 0 times v[0] plus the Toeplitz part of rows 1..N."""
-        n = v.shape[0]
-        nfft = 2 * (self.symbol_fft.shape[0] - 1)
-        conv = np.fft.irfft(np.fft.rfft(v[1:], nfft) * self.symbol_fft, nfft)
-        out = self.column0 * v[0]
-        out[1:] += conv[: n - 1]
-        return out
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x for one component's node vector x:
         x - kappa*K x + kappa*S*(K x)_N, then the boundary-data rows."""
         p = self.problem
-        kx = self._left(self._left(x[::-1])[::-1])
+        kx = self.left.apply(self.left.apply(x[::-1])[::-1])
         y = x - p.kappa * kx + p.kappa * kx[-1] * self.shape
         if isinstance(p.bc, DirichletBC):
             y[-1] = x[-1]
@@ -217,9 +207,9 @@ def boundary_shape(grid: Grid, alpha) -> np.ndarray:
 def assemble(problem: LinearProblem) -> AssembledSystem:
     """The matrix-free system for the integral form of the problem.
 
-    The right integral matrix is R = J L J, so ``_kernels.toeplitz_parts``
-    reads L's column 0 and symbol off its flip; only those O(N) vectors,
-    the preconditioner and the right-hand sides are kept.
+    The right integral matrix is R = J L J, so ``LowerToeplitz`` reads L's
+    column 0 and symbol t[g] = L[N, N-g] (g < N) off its flip; only that
+    O(N) apply, the preconditioner and the right-hand sides are kept.
 
     The preconditioner is P = I - kappa*C C^T, with C the optimal
     (T. Chan) N x N circulant of the symbol, c[g] = (N - g)/N * t[g]: a
@@ -229,12 +219,8 @@ def assemble(problem: LinearProblem) -> AssembledSystem:
     """
     grid = problem.grid
     n = grid.n_nodes
-    column0, symbol = toeplitz_parts(np.flip(right_integral_matrix(grid, problem.alpha)))
-    # a power of two >= 2N leaves the first N entries of the cyclic
-    # convolution free of wrap-around
-    nfft = 1 << (2 * (n - 1) - 1).bit_length()
-    symbol_fft = np.fft.rfft(symbol, nfft)
-    c = (n - 1 - np.arange(n - 1)) / (n - 1) * symbol
+    left = LowerToeplitz(np.flip(right_integral_matrix(grid, problem.alpha)))
+    c = (n - 1 - np.arange(n - 1)) / (n - 1) * left.symbol
     d = 1.0 - problem.kappa * np.abs(np.fft.rfft(c)) ** 2
     precond = 1.0 / np.copysign(np.maximum(np.abs(d), PRECOND_FLOOR), d)
     s = boundary_shape(grid, problem.alpha)
@@ -254,7 +240,7 @@ def assemble(problem: LinearProblem) -> AssembledSystem:
         context = "initial data imposed via first-order one-sided difference row"
     # ||A 1|| needs the operator, so anorm holds the row sum until then
     system = AssembledSystem(
-        problem, symbol_fft, column0, s, precond, rhs, start, free, anorm=row, context=context
+        problem, left, s, precond, rhs, start, free, anorm=row, context=context
     )
     return replace(system, anorm=max(row, float(np.max(np.abs(system.apply(np.ones(n)))))))
 

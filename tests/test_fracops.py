@@ -348,12 +348,12 @@ class TestComposition:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_structured_apply_matches_dense_product(self, alpha, n_sub, a, length, dim, seed):
-        # check_composition applies the integral matrix by its column 0 and
-        # Toeplitz symbol; the dense product is the oracle
+        # check_composition and the solver apply the integral matrix by its
+        # column 0 and Toeplitz symbol; the dense product is the oracle
         g = F.make_grid(a, a + length, n_sub)
         m = F.left_integral_matrix(g, alpha)
         ys = np.random.default_rng(seed).standard_normal((g.n_nodes, dim))
-        out = F._apply_left_integral(m, ys)
+        out = _kernels.LowerToeplitz(m).apply(ys)
         tol = 1e-13 * np.max(np.sum(np.abs(m), axis=1)) * np.max(np.abs(ys))
         assert out.shape == ys.shape
         assert np.all(out[0] == 0.0)
@@ -438,7 +438,6 @@ class TestBlockedConvolution:
         g = grid01(n_sub)
         rng = np.random.default_rng(bump)
         base = rng.standard_normal((g.n_nodes, 2))
-        m = F.left_integral_matrix(g, 0.5)
         for pos, left_of_bump in ((bump, True), (g.n_sub - bump, False)):
             bumped = base.copy()
             bumped[pos] += 1.0
@@ -448,10 +447,6 @@ class TestBlockedConvolution:
                 before = op(g, 0.5, F.make_trajectory(g, base)).values[untouched]
                 after = op(g, 0.5, F.make_trajectory(g, bumped)).values[untouched]
                 assert before.tobytes() == after.tobytes(), op.__name__
-            if left_of_bump:
-                before = F._apply_left_integral(m, base)[untouched]
-                after = F._apply_left_integral(m, bumped)[untouched]
-                assert before.tobytes() == after.tobytes()
 
     @pytest.mark.parametrize(
         "n_sub, alpha",
@@ -469,7 +464,7 @@ class TestBlockedConvolution:
     def test_zero_input_gives_positive_zeros(self, n):
         b = np.random.default_rng(n).standard_normal(n)
         for rows in (n, max(n - 1, 1)):
-            out = _kernels.causal_convolve(b, np.zeros((rows, 2)))
+            out = _kernels.causal_convolve(b, np.zeros((rows, 2)), {})
             assert out.shape == (n, 2)
             assert np.all(out == 0.0) and not np.any(np.signbit(out))
 
@@ -479,15 +474,13 @@ class TestBlockedConvolution:
         g = F.make_grid(-1.0, 2.0, 3200)
         t = g.nodes
         x = F.make_trajectory(g, np.column_stack([np.sin(3.0 * t), (t + 1.0) ** 2.5]))
-        m = F.left_integral_matrix(g, alpha)
 
         def run():
             ops = (F.caputo_left, F.caputo_right, F.rl_left, F.rl_right)
-            outs = [op(g, alpha, x).values for op in ops]
-            return outs + [F._apply_left_integral(m, x.values)]
+            return [op(g, alpha, x).values for op in ops]
 
         blocked = run()
-        monkeypatch.setattr(_kernels, "causal_convolve", lambda b, s, blocks=None: _direct_convolve(b, s))
+        monkeypatch.setattr(_kernels, "causal_convolve", lambda b, s, blocks: _direct_convolve(b, s))
         for got, ref in zip(blocked, run()):
             defined = np.isfinite(ref)
             assert np.array_equal(defined, np.isfinite(got))
@@ -510,7 +503,7 @@ class TestBlockedConvolution:
         if zero_head:
             b[0] = 0.0
         s = rng.standard_normal((n - 1 if short_input else n, dim))
-        got = _kernels.causal_convolve(b, s)
+        got = _kernels.causal_convolve(b, s, {})
         tol = 1e-13 * np.sum(np.abs(b)) * np.max(np.abs(s))
         assert got.shape == (n, dim)
         assert np.max(np.abs(got - _direct_convolve(b, s))) <= tol
@@ -524,7 +517,7 @@ class TestBlockedConvolution:
             for dim in (1, 2, 3):
                 for rows in (n, n - 1):
                     s = rng.standard_normal((rows, dim))
-                    got = _kernels.causal_convolve(b, s)
+                    got = _kernels.causal_convolve(b, s, {})
                     tol = 1e-13 * np.sum(np.abs(b)) * np.max(np.abs(s))
                     assert np.max(np.abs(got - _direct_convolve(b, s))) <= tol, (n, dim, rows)
 
@@ -623,10 +616,25 @@ class TestToeplitzFill:
         m = _kernels._lower_toeplitz(c, s)
         assert np.all(np.triu(m, 1) == 0.0)
         assert np.array_equal(np.diag(m)[1:], np.full(n - 1, s[0]))
-        column0, symbol = _kernels.toeplitz_parts(m)
-        assert column0.tobytes() == c.tobytes()
-        assert symbol.tobytes() == s.tobytes()
-        assert not np.shares_memory(column0, m) and not np.shares_memory(symbol, m)
+        parts = _kernels.LowerToeplitz(m)
+        assert parts.column0.tobytes() == c.tobytes()
+        assert parts.symbol.tobytes() == s.tobytes()
+        assert not np.shares_memory(parts.column0, m) and not np.shares_memory(parts.symbol, m)
+
+    @pytest.mark.parametrize("n_sub", (2, 3, 63, 64, 200, 3200))
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_two_dimensional_apply_is_columnwise(self, n_sub, alpha):
+        # the solver applies one column, check_composition several at once;
+        # both give the same bits, and zero input gives +0.0
+        g = F.make_grid(-1.0, 2.0, n_sub)
+        apply = _kernels.LowerToeplitz(F.left_integral_matrix(g, alpha)).apply
+        ys = np.random.default_rng(n_sub).standard_normal((g.n_nodes, 3))
+        out = apply(ys)
+        assert out.shape == ys.shape
+        for j in range(3):
+            assert out[:, j].tobytes() == apply(ys[:, j]).tobytes()
+        zeros = apply(np.zeros((g.n_nodes, 2)))
+        assert np.all(zeros == 0.0) and not np.any(np.signbit(zeros))
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def _convention(config: RunConfig, command: str) -> str:
     """The D_a+ convention that ``command`` evaluates with."""
     if command == "noether" and config.quantity in ("noether", "autonomous"):
         return config.derivative_convention
-    return "caputo"
+    return LG._DEFAULT_CONVENTION
 
 
 def _comment_lines(config: RunConfig, command: str, alpha=None):
@@ -76,7 +76,7 @@ def _comment_lines(config: RunConfig, command: str, alpha=None):
     lines = [
         f"# fracnoether {command}",
         problem,
-        f"# conventions: D_a+ = {_convention(config, command)}, D_b- = rl; "
+        f"# conventions: {LG._operators(_convention(config, command), right=True)}; "
         "classical derivatives by central differences",
         f"# tolerances: drift {config.drift_tolerance:g}; "
         f"group laws {DEFAULT_GROUP_TOLERANCE:g}; "

@@ -10,8 +10,9 @@ L - D^alpha x . dL/dv whose constancy is probed by the conservation checks.
 
 Every Lagrangian series along a trajectory, here and in ``noether`` and
 ``symmetry``, comes from ``_Along``: it refuses a partly masked trajectory
-before any apply, takes D_a+ x once, and holds the package's one D_b-
-outside ``fracops``, of the momentum dL/dv.
+before any apply, takes D_a+ x and each partial once, and holds the
+package's one D_b- outside ``fracops``, of the momentum dL/dv.
+``_operators`` spells the operators of every context and CSV header.
 
 Evaluator contract: each evaluator is called once per series on node
 arrays, component axis last: ``t`` of shape (M,), ``x`` and ``v`` of shape
@@ -218,15 +219,22 @@ def _node_series(L: LagrangianSpec, name: str, times, xvals, vvals):
 
 
 _LEFT_OPS = {"caputo": caputo_left, "rl": rl_left}
+_DEFAULT_CONVENTION = "caputo"
+
+
+def _operators(convention: str, right: bool) -> str:
+    """The operator clause: D_a+ in ``convention``, D_b- if ``right``."""
+    return f"D_a+ = {convention}" + (", D_b- = rl" if right else "")
 
 
 class _Along:
     """A Lagrangian along one trajectory.  Construction checks the order,
     that ``x`` is fully defined (``what`` names the caller), the dims and
     the convention, so a bad argument raises before any apply; it then
-    takes D_a+ x."""
+    takes D_a+ x.  It samples each partial at most once and records
+    whether D_b- was taken, for ``operators()``."""
 
-    def __init__(self, L, x, alpha, what, convention="caputo"):
+    def __init__(self, L, x, alpha, what, convention=_DEFAULT_CONVENTION):
         self.o = _order(alpha)
         _require_defined(x, what)
         if L.dim != x.dim:
@@ -237,7 +245,8 @@ class _Along:
             raise ValueError(
                 f"convention must be one of {sorted(_LEFT_OPS)}, got {convention!r}"
             ) from None
-        self.L, self.x, self.grid = L, x, x.grid
+        self.L, self.x, self.grid, self.convention = L, x, x.grid, convention
+        self.took_right, self._partials = False, {}
         self.dxa = self._op(self.grid, self.o, x).values
 
     def left(self, values: np.ndarray) -> np.ndarray:
@@ -251,22 +260,34 @@ class _Along:
         return self._op(self.grid, self.o, make_trajectory(self.grid, values)).values
 
     def at(self, name: str) -> np.ndarray:
-        """The Lagrangian's ``name`` evaluator at (t, x, D_a+ x)."""
-        return _node_series(self.L, name, self.grid.nodes, self.x.values, self.dxa)
+        """The Lagrangian's ``name`` evaluator at (t, x, D_a+ x), sampled once."""
+        if name not in self._partials:
+            self._partials[name] = _node_series(
+                self.L, name, self.grid.nodes, self.x.values, self.dxa
+            )
+        return self._partials[name]
 
-    def right_of_momentum(self, p: np.ndarray) -> np.ndarray:
-        """D_b- of the momentum series ``p`` = dL/dv, rows with a NaN
-        masked, and with them every node whose D_b- reads one: the
-        package's one D_b- outside ``fracops``."""
+    def w_partial(self, factor: float) -> np.ndarray:
+        """L - factor * D_a+ x . dL/dv: at factor = alpha the Jost extension's
+        w-partial at w = 1 (``extend``'s ``d_w``), at 1 its classical transfer."""
+        return self.at("eval") - factor * np.sum(self.dxa * self.at("d_v"), axis=1)
+
+    def right_of_momentum(self) -> np.ndarray:
+        """D_b- of the momentum dL/dv, rows with a NaN masked, and with
+        them every node whose D_b- reads one: the package's one D_b-
+        outside ``fracops``."""
+        self.took_right, p = True, self.at("d_v")
         rows = np.all(np.isfinite(p), axis=1)
         return rl_right(self.grid, self.o, make_trajectory(self.grid, p, mask=rows)).values
 
+    def operators(self) -> str:
+        return _operators(self.convention, self.took_right)
+
 
 def _el_residual(s: _Along) -> Trajectory:
-    p = s.at("d_v")
-    dp = s.right_of_momentum(p)
+    dp = s.right_of_momentum()
     # nodes where D_b- p is undefined are masked; a NaN partial raises
-    defined = np.all(np.isfinite(dp), axis=1) | ~np.all(np.isfinite(p), axis=1)
+    defined = np.all(np.isfinite(dp), axis=1) | ~np.all(np.isfinite(s.at("d_v")), axis=1)
     return make_trajectory(s.grid, dp + s.at("d_x"), mask=defined)
 
 
@@ -298,8 +319,7 @@ def second_el_quantity(L: LagrangianSpec, x: Trajectory, alpha) -> QuantitySerie
     condition under test in the conservation checks.
     """
     s = _Along(L, x, alpha, "second_el_quantity")
-    series = s.at("eval") - np.sum(s.dxa * s.at("d_v"), axis=1)
-    return make_series(s.grid, series, context="second form; D_a+ = caputo")
+    return make_series(s.grid, s.w_partial(1.0), context=f"second form; {s.operators()}")
 
 
 def extended_el_residual(E: ExtendedLagrangianSpec, x: Trajectory, alpha_factor: bool = True):
@@ -315,9 +335,9 @@ def extended_el_residual(E: ExtendedLagrangianSpec, x: Trajectory, alpha_factor:
     variants differ in the literature and both are useful for comparison.
     """
     s = _Along(E.base, x, E.alpha, "extended_el_residual")
-    factor = s.o.alpha if alpha_factor else 1.0
-    inner = s.at("eval") - factor * np.sum(s.dxa * s.at("d_v"), axis=1)
+    inner = s.w_partial(s.o.alpha if alpha_factor else 1.0)
     res_b = s.at("d_t") - np.gradient(inner, s.grid.h, edge_order=2)
+    res_x = _el_residual(s)
     weight = "alpha-weighted" if alpha_factor else "unweighted"
-    context = f"t-equation, {weight} mixed term; D_a+ = caputo; x-equations D_b- = rl"
-    return _el_residual(s), make_series(s.grid, res_b, context=context)
+    context = f"t-equation, {weight} mixed term; {s.operators()} (with the x-equations)"
+    return res_x, make_series(s.grid, res_b, context=context)

@@ -17,10 +17,11 @@ residual series draw on the same ingredients.  Those come from
 ``lagrangian._Along``, the package's one evaluation of a Lagrangian along
 a trajectory: it checks the arguments before any apply, takes D_a+ x
 once, applies further left derivatives (none for an all-zero series),
-samples the Lagrangian's partials, and takes D_b- of the momentum dL/dv.
-This module applies no fractional operator itself.
+samples each partial once, computes the Jost w-partial
+L - f D_a+ x . dL/dv, takes D_b- of the momentum dL/dv, and names the
+operators it took.  This module applies and names no operator itself.
 
-Conventions (named in every series' ``context``):
+Conventions (each series' ``context`` names D_b- exactly when one ran):
 
 * Left derivatives D_a+ default to Caputo, matching the velocity slot of
   the action; ``convention="rl"`` switches them to Riemann-Liouville,
@@ -53,11 +54,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fracops import Trajectory
-from .lagrangian import LagrangianSpec, QuantitySeries, _Along, _as_series, make_series
+from .lagrangian import _DEFAULT_CONVENTION, LagrangianSpec, QuantitySeries, _Along
+from .lagrangian import _as_series, make_series
 from .presets import oscillator_lagrangian
 from .symmetry import GroupSpec, time_translation
 
 DRIFT_FLOOR = 1e-12
+AUTONOMY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ def _group_series(g: GroupSpec, x: Trajectory):
     return zeta, zeta_dot, xi
 
 
-def _quantity(s: _Along, g: GroupSpec, variant: str, context: str) -> QuantitySeries:
+def _quantity(s: _Along, g: GroupSpec, variant: str, form: str, diffs: str) -> QuantitySeries:
     """The Noether-type quantity of generator ``g`` (see noether_quantity)."""
     h = s.grid.h
     zeta, zeta_dot, xi = _group_series(g, s.x)
@@ -126,7 +129,7 @@ def _quantity(s: _Along, g: GroupSpec, variant: str, context: str) -> QuantitySe
 
     shifted = xdot * zeta[:, None] - xi
     if variant == "conslaw":
-        lead = np.sum(s.right_of_momentum(p) * shifted, axis=1)
+        lead = np.sum(s.right_of_momentum() * shifted, axis=1)
     else:
         # on stationary trajectories D_b-[dL/dv] = -dL/dx; substituting
         # removes the right derivative (and its masked node) entirely
@@ -143,9 +146,8 @@ def _quantity(s: _Along, g: GroupSpec, variant: str, context: str) -> QuantitySe
     # node k integrates over nodes 0..k; node 0 is the zero endpoint
     mask = np.isfinite(boundary)
     mask[1:] &= np.logical_and.accumulate(fmask[1:])
-    return make_series(
-        s.grid, np.where(mask, values, np.nan), mask=mask, context=context
-    )
+    context = f"{form}; {s.operators()}; {diffs} by central differences"
+    return make_series(s.grid, np.where(mask, values, np.nan), mask=mask, context=context)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +160,7 @@ def noether_quantity(
     x: Trajectory,
     alpha,
     variant: str = "conslaw",
-    convention: str = "caputo",
+    convention: str = _DEFAULT_CONVENTION,
 ) -> QuantitySeries:
     """Candidate first integral attached to a symmetry generator.
 
@@ -177,20 +179,14 @@ def noether_quantity(
             f"variant must be 'conslaw' or 'conslaw2', got {variant!r}"
         )
     s = _Along(L, x, alpha, "noether_quantity", convention)
-    right = ", D_b- = rl" if variant == "conslaw" else ""
-    context = (
-        f"{variant} form; D_a+ = {convention}{right}; "
-        "xdot and zeta-dot by central differences"
-    )
-    return _quantity(s, g, variant, context)
+    return _quantity(s, g, variant, f"{variant} form", "xdot and zeta-dot")
 
 
 def autonomous_quantity(
     L: LagrangianSpec,
     x: Trajectory,
     alpha,
-    convention: str = "caputo",
-    tol: float = 1e-9,
+    convention: str = _DEFAULT_CONVENTION,
 ) -> QuantitySeries:
     """Energy-like quantity of an autonomous Lagrangian:
 
@@ -198,21 +194,19 @@ def autonomous_quantity(
 
     Equals ``noether_quantity`` for the time-translation generator
     (zeta = 1, xi = 0).  Rejects Lagrangians whose sampled |dL/dt|
-    exceeds ``tol`` along the trajectory.
+    exceeds ``AUTONOMY_TOL`` along the trajectory.
     """
     s = _Along(L, x, alpha, "autonomous_quantity", convention)
     tvals = s.at("d_t")
-    tvals = tvals[np.isfinite(tvals)]
-    if tvals.size and float(np.max(np.abs(tvals))) > tol:
+    worst = float(np.max(np.abs(tvals), initial=0.0, where=np.isfinite(tvals)))
+    if worst > AUTONOMY_TOL:
         raise ValueError(
             "Lagrangian is not autonomous: max sampled |dL/dt| = "
-            f"{float(np.max(np.abs(tvals))):.3e} > {tol:g}"
+            f"{worst:.3e} > {AUTONOMY_TOL:g}"
         )
-    context = (
-        f"autonomous form (zeta = 1, xi = 0); D_a+ = {convention}, "
-        "D_b- = rl; xdot by central differences"
+    return _quantity(
+        s, time_translation(), "conslaw", "autonomous form (zeta = 1, xi = 0)", "xdot"
     )
-    return _quantity(s, time_translation(), "conslaw", context)
 
 
 def oscillator_quantity(u: Trajectory, omega: float, alpha) -> QuantitySeries:
@@ -236,11 +230,7 @@ def oscillator_quantity(u: Trajectory, omega: float, alpha) -> QuantitySeries:
             "uses the Caputo form",
             stacklevel=2,
         )
-    context = (
-        "oscillator form; D_a+ = caputo, D_b- = rl; "
-        "u' by central differences"
-    )
-    return _quantity(s, time_translation(), "conslaw", context)
+    return _quantity(s, time_translation(), "conslaw", "oscillator form", "u'")
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +243,7 @@ def infinitesimal_criterion_residual(
     x: Trajectory,
     alpha,
     ce_alpha_factor: bool = True,
-    convention: str = "caputo",
+    convention: str = _DEFAULT_CONVENTION,
 ) -> QuantitySeries:
     """Node series of the infinitesimal invariance criterion,
 
@@ -268,15 +258,14 @@ def infinitesimal_criterion_residual(
     """
     s = _Along(L, x, alpha, "infinitesimal_criterion_residual", convention)
     zeta, zeta_dot, xi = _group_series(g, x)
-    factor = s.o.alpha if ce_alpha_factor else 1.0
     series = (
         s.at("d_t") * zeta
         + np.sum(s.at("d_x") * xi, axis=1)
-        + s.at("eval") * zeta_dot
-        + np.sum(s.at("d_v") * (-factor * s.dxa * zeta_dot[:, None] + s.left(xi)), axis=1)
+        + s.w_partial(s.o.alpha if ce_alpha_factor else 1.0) * zeta_dot
+        + np.sum(s.at("d_v") * s.left(xi), axis=1)
     )
     weight = "alpha-weighted" if ce_alpha_factor else "unweighted"
-    context = f"{weight} boundary-velocity term; D_a+ = {convention}"
+    context = f"{weight} boundary-velocity term; {s.operators()}"
     return make_series(s.grid, series, context=context)
 
 
@@ -285,7 +274,7 @@ def weak_theorem_residual(
     g: GroupSpec,
     x: Trajectory,
     alpha,
-    convention: str = "caputo",
+    convention: str = _DEFAULT_CONVENTION,
 ) -> QuantitySeries:
     """Node series of the classically-transferred conservation claim,
 
@@ -298,14 +287,9 @@ def weak_theorem_residual(
     """
     s = _Along(L, x, alpha, "weak_theorem_residual", convention)
     zeta, _, xi = _group_series(g, x)
-    p = s.at("d_v")
-    energy = (s.at("eval") - np.sum(s.dxa * p, axis=1)) * zeta
     series = (
-        np.gradient(energy, s.grid.h, edge_order=2)
-        + np.sum(p * s.left(xi), axis=1)
-        - np.sum(s.right_of_momentum(p) * xi, axis=1)
+        np.gradient(s.w_partial(1.0) * zeta, s.grid.h, edge_order=2)
+        + np.sum(s.at("d_v") * s.left(xi), axis=1)
+        - np.sum(s.right_of_momentum() * xi, axis=1)
     )
-    context = (
-        f"D_a+ = {convention}, D_b- = rl; d/dt by central differences"
-    )
-    return make_series(s.grid, series, context=context)
+    return make_series(s.grid, series, context=f"{s.operators()}; d/dt by central differences")

@@ -387,7 +387,7 @@ def check_invariance(
         y_vals = _space_map(g, s, x.values)
         if fixed_base:
             tau_nodes = _time_map(g, s, grid.nodes)
-            if abs(tau_nodes[0] - grid.a) > 1e-9 * max(1.0, abs(grid.a)):
+            if not abs(tau_nodes[0] - grid.a) <= 1e-9:  # absolute; NaN counts as moved
                 raise ValueError(
                     "fixed-base invariance requires phi0_s(a) = a; "
                     f"got phi0_s(a) = {tau_nodes[0]:g} for s = {s:g}"

@@ -33,36 +33,14 @@ import fracnoether.solver as SV
 import fracnoether.symmetry as SY
 from fracnoether.cli import main
 
+from common import solve_oscillator, solve_quadratic
+
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "..", "presets")
 
 
 def report(criterion, passed, detail):
     print(f"criterion {criterion:2d}: {'PASS' if passed else 'FAIL'} - {detail}")
     assert passed, f"criterion {criterion}: {detail}"
-
-
-def solve_quadratic(n_sub, alpha):
-    grid = F.make_grid(0.0, 1.0, n_sub)
-    problem = SV.LinearProblem(
-        grid=grid,
-        alpha=alpha,
-        dim=2,
-        kappa=-1.0,
-        bc=SV.dirichlet(np.array([1.0, 2.0]), np.array([2.0, 1.0])),
-    )
-    return SV.solve(problem).solution
-
-
-def solve_oscillator(n_sub, alpha, omega):
-    grid = F.make_grid(0.0, 1.0, n_sub)
-    problem = SV.LinearProblem(
-        grid=grid,
-        alpha=alpha,
-        dim=1,
-        kappa=-(omega**2),
-        bc=SV.initial(np.array([0.0]), np.array([1.0])),
-    )
-    return SV.solve(problem).solution
 
 
 def composition_residual(n_sub, alpha):

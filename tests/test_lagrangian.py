@@ -11,19 +11,11 @@ from fracnoether import fracops as F
 from fracnoether import lagrangian as Lmod
 from fracnoether import presets as PR
 
+from common import quadratic_lagrangian
+
 # classical BVP x'' = x, x(0)=1, x(1)=2: x = C1 e^t + C2 e^{-t}
 C1 = 0.6944004854896559
 C2 = 0.3055995145103441
-
-
-def quadratic_lagrangian(dim=2):
-    return Lmod.make_lagrangian(
-        dim,
-        eval=lambda t, x, v: 0.5 * (np.vecdot(x, x) + np.vecdot(v, v)),
-        d_t=lambda t, x, v: 0.0,
-        d_x=lambda t, x, v: x,
-        d_v=lambda t, x, v: v,
-    )
 
 
 def classical_solution(nodes):

@@ -1,6 +1,7 @@
 """Tests for conserved-quantity assembly, drift statistics, and the
 invariance/conservation residual series."""
 
+import ast
 import inspect
 
 import numpy as np
@@ -15,6 +16,9 @@ import fracnoether.noether as NO
 import fracnoether.presets as PR
 import fracnoether.solver as SV
 import fracnoether.symmetry as SY
+from fracnoether import cli
+
+from common import solve_oscillator, solve_quadratic
 
 # Frozen drift values for the quadratic two-component problem with
 # Dirichlet data (1,2) -> (2,1) on [0,1].  Regenerate by evaluating
@@ -49,30 +53,6 @@ WEAK_SUP_HALF_200 = 919.1959717707813
 # unweighted infinitesimal-criterion sup for the homogeneous Lagrangian
 # under the dilation that is an exact symmetry of the weighted form
 UNWEIGHTED_CRITERION_SUP = {0.5: 0.9898054216779886, 0.75: 0.3306170864600293}
-
-
-def solve_quadratic(n_sub, alpha, kappa=-1.0, a=0.0, b=1.0):
-    grid = F.make_grid(a, b, n_sub)
-    problem = SV.LinearProblem(
-        grid=grid,
-        alpha=alpha,
-        dim=2,
-        kappa=kappa,
-        bc=SV.dirichlet(np.array([1.0, 2.0]), np.array([2.0, 1.0])),
-    )
-    return SV.solve(problem).solution
-
-
-def solve_oscillator(n_sub, alpha, omega):
-    grid = F.make_grid(0.0, 1.0, n_sub)
-    problem = SV.LinearProblem(
-        grid=grid,
-        alpha=alpha,
-        dim=1,
-        kappa=-(omega**2),
-        bc=SV.initial(np.array([0.0]), np.array([1.0])),
-    )
-    return SV.solve(problem).solution
 
 
 def series_of(values, mask=None):
@@ -304,6 +284,23 @@ class TestAutonomousQuantity:
         x = solve_quadratic(32, 0.5)
         with pytest.raises(ValueError, match="not autonomous"):
             NO.autonomous_quantity(L, x, 0.5)
+
+    @pytest.mark.parametrize("rate, rejected", [(2e-9, True), (5e-10, False)])
+    def test_autonomy_threshold_is_1e_9(self, rate, rejected):
+        L = LG.make_lagrangian(
+            2,
+            lambda t, x, v: rate * t + 0.5 * np.vecdot(v, v),
+            d_t=lambda t, x, v: rate,
+            d_x=lambda t, x, v: np.zeros_like(x),
+            d_v=lambda t, x, v: v,
+        )
+        x = solve_quadratic(32, 0.5)
+        if rejected:
+            with pytest.raises(ValueError, match=r"= 2\.000e-09 > 1e-09"):
+                NO.autonomous_quantity(L, x, 0.5)
+        else:
+            NO.autonomous_quantity(L, x, 0.5)
+        assert "tol" not in inspect.signature(NO.autonomous_quantity).parameters
 
     def test_constant_trajectory(self):
         # xdot = 0 and dL/dv = v = 0 kill every integrand term, leaving
@@ -755,3 +752,51 @@ class TestSeriesContext:
         assert isinstance(series, LG.QuantitySeries)
         assert series.context
         assert ("D_b-" in series.context) == bool(calls), (series.context, len(calls))
+
+    @pytest.mark.parametrize("module", [NO, SY, cli])
+    def test_only_lagrangian_spells_the_operators(self, module):
+        # string constants outside docstrings; contexts and CSV headers
+        # take their operator clause from lagrangian._operators
+        tree = ast.parse(inspect.getsource(module))
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body
+            and isinstance(node.body[0], ast.Expr)
+        }
+        literals = [
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ]
+        assert not [v for v in literals if "D_a+" in v or "D_b-" in v or v in ("caputo", "rl")]
+
+    @pytest.mark.parametrize("name", sorted(SERIES_CALLS))
+    def test_each_evaluator_is_sampled_once(self, name, monkeypatch):
+        # one batch call plus the last-node cross-check per evaluator
+        calls = {}
+
+        def counting(L):
+            def wrap(key, fn):
+                def call(*args):
+                    calls[key] = calls.get(key, 0) + 1
+                    return fn(*args)
+
+                return call
+
+            return LG.LagrangianSpec(
+                dim=L.dim, **{k: wrap(k, getattr(L, k)) for k in ("eval", "d_t", "d_x", "d_v")}
+            )
+
+        oscillator = NO.oscillator_lagrangian
+        monkeypatch.setattr(NO, "oscillator_lagrangian", lambda omega: counting(oscillator(omega)))
+        grid = F.make_grid(0.0, 1.0, 32)
+        s = grid.nodes
+        x = F.make_trajectory(grid, np.stack([np.sin(s), s + s**2], axis=1))
+        u = F.make_trajectory(grid, np.sin(s))
+        SERIES_CALLS[name](counting(PR.kappa_lagrangian(-1.0, dim=2)), x, u)
+        assert calls
+        assert max(calls.values()) <= 2, calls

@@ -11,6 +11,8 @@ from fracnoether import lagrangian as Lmod
 from fracnoether import presets as P
 from fracnoether import symmetry as G
 
+from common import quadratic_lagrangian
+
 # analytic value of both chain-rule sides for the dilation group with
 # c = 1 at s = 0.3, alpha = 0.5, x = t^2, evaluated at t = 0.6:
 # Gamma(3)/Gamma(2.5) * 0.6^1.5 * e^{-0.15}
@@ -25,16 +27,6 @@ def not_a_group():
         phi1=lambda s, x: np.asarray(x, dtype=float),
         zeta=lambda t: 0.0,
         xi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
-
-
-def quadratic_lagrangian():
-    return Lmod.make_lagrangian(
-        2,
-        eval=lambda t, x, v: 0.5 * (np.vecdot(x, x) + np.vecdot(v, v)),
-        d_t=lambda t, x, v: 0.0,
-        d_x=lambda t, x, v: x,
-        d_v=lambda t, x, v: v,
     )
 
 
@@ -418,6 +410,26 @@ class TestInvariance:
                 traj,
                 0.6,
                 fixed_base=True,
+            )
+
+    def test_fixed_base_rejects_small_move_far_from_zero(self):
+        # a base point that moves by 1e-4 has moved at any size of a, as
+        # check_localization reports it
+        grid = F.make_grid(1e6, 1e6 + 1.0, 64)
+        s = grid.nodes - grid.a
+        traj = F.make_trajectory(grid, np.column_stack([np.sin(s), s**2]))
+        g = G.time_translation()
+        assert not G.check_localization(g, grid.a, s_samples=[1e-4]).passed
+        with pytest.raises(ValueError, match="phi0_s\\(a\\) = a"):
+            G.check_invariance(
+                quadratic_lagrangian(), g, traj, 0.6, s_samples=[1e-4], fixed_base=True
+            )
+
+    def test_fixed_base_rejects_nan_base_point(self):
+        _, traj = smooth_trajectory()
+        with pytest.raises(ValueError, match="phi0_s\\(a\\) = a"):
+            G.check_invariance(
+                quadratic_lagrangian(), nan_time_map(0.1), traj, 0.6, fixed_base=True
             )
 
     def test_dimension_mismatch_rejected(self):

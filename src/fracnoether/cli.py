@@ -37,13 +37,14 @@ import numpy as np
 from . import fracops as F
 from . import lagrangian as LG
 from . import noether as NO
-from . import presets as PR
 from . import solver as SV
 from . import symmetry as SY
 from .config import (
     BCS,
     DEFAULT_GROUP_TOLERANCE,
     GROUPS,
+    PROBLEMS,
+    QUANTITIES,
     ConfigError,
     RunConfig,
     load_config,
@@ -62,14 +63,14 @@ def _alpha_tag(alpha: float) -> str:
 
 def _convention(config: RunConfig, command: str) -> str:
     """The D_a+ convention that ``command`` evaluates with."""
-    if command == "noether" and config.quantity in ("noether", "autonomous"):
+    if command == "noether" and QUANTITIES[config.quantity][0]:
         return config.derivative_convention
     return LG._DEFAULT_CONVENTION
 
 
 def _comment_lines(config: RunConfig, command: str, alpha=None):
     problem = f"# problem = {config.problem}; interval = [{config.interval[0]:g}, {config.interval[1]:g}]; n_sub = {config.n_sub}"
-    if config.problem != "example2":
+    if PROBLEMS[config.problem].trajectory is None:
         problem += f"; kappa = {config.kappa:g}"
     if config.omega is not None:
         problem += f"; omega = {config.omega:g}"
@@ -113,31 +114,20 @@ def _node_rows(grid, values, mask):
 # problem realization
 
 
-def _grid(config: RunConfig):
-    return F.make_grid(config.interval[0], config.interval[1], config.n_sub)
-
-
 def _boundary(config: RunConfig):
     data = np.array(config.bc_data)
     return BCS[config.bc_kind](data[: config.dim], data[config.dim :])
 
 
-def _lagrangian(config: RunConfig, alpha):
-    if config.problem == "oscillator":
-        return PR.oscillator_lagrangian(config.omega)
-    if config.problem == "example2":
-        return PR.example2_lagrangian(alpha)
-    return PR.kappa_lagrangian(config.kappa, dim=config.dim)
-
-
 def _make_group(config: RunConfig):
-    return GROUPS[config.group][2](config.group_params, config.interval[0])
+    return GROUPS[config.group][3](config.group_params, config.interval[0])
 
 
 def _trajectory(config: RunConfig, alpha):
-    grid = _grid(config)
-    if config.problem == "example2":
-        return PR.example2_trajectory(grid)
+    grid = F.make_grid(config.interval[0], config.interval[1], config.n_sub)
+    preset = PROBLEMS[config.problem].trajectory
+    if preset is not None:
+        return preset(grid)
     problem = SV.LinearProblem(
         grid=grid,
         alpha=alpha,
@@ -153,9 +143,9 @@ def _trajectory(config: RunConfig, alpha):
 
 
 def cmd_solve(config: RunConfig) -> int:
-    if config.problem == "example2":
+    if PROBLEMS[config.problem].trajectory is not None:
         raise ConfigError(
-            "problem 'example2' has no linear solve; use the noether or check command"
+            f"problem {config.problem!r} has no linear solve; use the noether or check command"
         )
     results = {a: _trajectory(config, a) for a in sorted(set(config.alphas))}
     os.makedirs(config.outputs, exist_ok=True)
@@ -169,7 +159,7 @@ def cmd_solve(config: RunConfig) -> int:
             ["t"] + names,
             _node_rows(x.grid, x.values, None),
         )
-        residual = LG.el_residual(_lagrangian(config, alpha), x, alpha)
+        residual = LG.el_residual(PROBLEMS[config.problem].lagrangian(config, alpha), x, alpha)
         _write_csv(
             os.path.join(config.outputs, f"residual_alpha{tag}.csv"),
             comments,
@@ -179,29 +169,11 @@ def cmd_solve(config: RunConfig) -> int:
     return 0
 
 
-def _quantity(config: RunConfig, x, alpha):
-    L = _lagrangian(config, alpha)
-    if config.quantity == "noether":
-        return NO.noether_quantity(
-            L,
-            _make_group(config),
-            x,
-            alpha,
-            variant=config.conslaw_variant,
-            convention=config.derivative_convention,
-        )
-    if config.quantity == "autonomous":
-        return NO.autonomous_quantity(
-            L, x, alpha, convention=config.derivative_convention
-        )
-    if config.quantity == "oscillator":
-        return NO.oscillator_quantity(x, config.omega, alpha)
-    return LG.second_el_quantity(L, x, alpha)
-
-
 def cmd_noether(config: RunConfig) -> int:
+    series, group = QUANTITIES[config.quantity][1], _make_group(config)
+    lagrangian = PROBLEMS[config.problem].lagrangian
     results = {
-        a: _quantity(config, _trajectory(config, a), a)
+        a: series(config, lagrangian(config, a), group, _trajectory(config, a), a)
         for a in sorted(set(config.alphas))
     }
     os.makedirs(config.outputs, exist_ok=True)
@@ -261,7 +233,7 @@ def cmd_check(config: RunConfig) -> int:
     alpha = config.alphas[0]
     group = _make_group(config)
     x = _trajectory(config, alpha)
-    L = _lagrangian(config, alpha)
+    L = PROBLEMS[config.problem].lagrangian(config, alpha)
     probe = _probe_trajectory(x.grid, config.dim)
 
     composition = F.check_composition(x.grid, alpha, probe)

@@ -6,16 +6,17 @@ key maps to a RunConfig field; unknown and duplicate keys are errors so
 that a typo cannot silently fall back to a default, and every number
 must be finite.
 
-Each run choice is named once, in a table that the CLI reads:
-``PROBLEMS`` (dimension and default ``bc``), ``BCS`` (boundary kind ->
-solver constructor) and ``GROUPS`` (parameter counts and constructor).
+Each run choice is named once, in a table that the CLI reads: ``BCS``,
+``GROUPS``, ``QUANTITIES`` and ``PROBLEMS``, whose row holds all that a
+problem decides, from its number key and default ``bc`` to its
+Lagrangian and its preset trajectory (None when it is solved for).
 
 * ``harmonic2d`` — two-component quadratic problem with kappa = -1 and
   Dirichlet data (1, 2) -> (2, 1) unless ``bc`` overrides it.
 * ``oscillator`` — scalar problem with kappa = -omega^2 and initial
   data u(a) = 0, u'(a) = 1; requires ``omega``, with omega^2 finite.
 * ``example2`` — the planar homogeneous Lagrangian with its preset
-  trajectory q = (t, t^2); there is no linear solve for it.
+  trajectory q = (t, t^2), for a >= 0 and a finite b^2; no linear solve.
 * ``custom`` — quadratic problem with explicit ``kappa`` and ``bc``.
 
 ``bc`` is a single comma list: a kind followed by the stacked node
@@ -32,33 +33,63 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
-from . import solver, symmetry
+from . import lagrangian, noether, presets, solver, symmetry
 
-# name -> (dimension, or None for any; default bc as (kind, data), or
-# None when bc is required).  example2 runs on its preset trajectory and
-# takes no bc.
+
+class Problem(NamedTuple):
+    """One ``PROBLEMS`` row."""
+
+    dim: Optional[int]  # None: any, read off the bc data
+    bc: Optional[tuple]  # default (kind, data); None: bc is required
+    number: Optional[str]  # the number key the problem requires
+    lagrangian: Callable  # (config, alpha) -> LagrangianSpec
+    trajectory: Optional[Callable] = None  # grid -> preset Trajectory
+    refuses: Callable = lambda a, b: ""  # (a, b) -> what the interval lacks
+    quantity: Optional[str] = None  # its own quantity, the default; None: the first
+
+
+_QUADRATIC = Problem(None, None, None, lambda c, al: presets.kappa_lagrangian(c.kappa, dim=c.dim))
 PROBLEMS = {
-    "harmonic2d": (2, ("dirichlet", (1.0, 2.0, 2.0, 1.0))),
-    "oscillator": (1, ("initial", (0.0, 1.0))),
-    "example2": (2, ("none", ())),
-    "custom": (None, None),
+    "harmonic2d": _QUADRATIC._replace(dim=2, bc=("dirichlet", (1.0, 2.0, 2.0, 1.0))),
+    "oscillator": Problem(
+        1, ("initial", (0.0, 1.0)), "omega",
+        # the solve takes kappa = -omega^2 but this Lagrangian +omega^2, so the
+        # drift reported is that of a Lagrangian the solve does not extremize
+        lambda c, al: presets.oscillator_lagrangian(c.omega), quantity="oscillator",
+    ),
+    # the preset (t, t^2) keeps the powers real for a >= 0, finite for finite b^2
+    "example2": Problem(
+        2, ("none", ()), None, lambda c, al: presets.example2_lagrangian(al), presets.example2_trajectory,
+        lambda a, b: "a >= 0" if a < 0.0 else "a finite b^2" if not math.isfinite(b * b) else "",
+    ),
+    "custom": _QUADRATIC._replace(number="kappa"),
 }
 BCS = {"dirichlet": solver.dirichlet, "initial": solver.initial}
-# name -> (fewest parameters, most parameters, constructor from the
-# parameters p and the interval start a); the first is the default, and
-# an omitted optional parameter takes the value after p: c = 1, base a
+# name -> (fewest parameters, most parameters, dimension or None for any,
+# constructor from the parameters p and the interval start a); the first
+# is the default, and an omitted optional parameter takes the value after
+# p: c = 1, base a
 GROUPS = {
-    "time_translation": (0, 0, lambda p, a: symmetry.time_translation()),
-    "dilation": (0, 1, lambda p, a: symmetry.dilation((*p, 1.0)[0])),
-    "space_only": (0, 0, lambda p, a: symmetry.space_rotation()),
-    "localized_dilation": (1, 2, lambda p, a: symmetry.localized_dilation(p[0], (*p, a)[1])),
-    "quadratic_time": (0, 0, lambda p, a: symmetry.quadratic_time()),
+    "time_translation": (0, 0, None, lambda p, a: symmetry.time_translation()),
+    "dilation": (0, 1, None, lambda p, a: symmetry.dilation((*p, 1.0)[0])),
+    "space_only": (0, 0, 2, lambda p, a: symmetry.space_rotation()),
+    "localized_dilation": (1, 2, None, lambda p, a: symmetry.localized_dilation(p[0], (*p, a)[1])),
+    "quadratic_time": (0, 0, None, lambda p, a: symmetry.quadratic_time()),
 }
-QUANTITIES = ("noether", "autonomous", "oscillator", "q")
+# name -> (whether its D_a+ follows derivative_convention, series from
+# the config, Lagrangian, group, trajectory and order); the first is the
+# default
+QUANTITIES = {
+    "noether": (True, lambda c, L, g, x, al: noether.noether_quantity(
+        L, g, x, al, variant=c.conslaw_variant, convention=c.derivative_convention)),
+    "autonomous": (True, lambda c, L, g, x, al: noether.autonomous_quantity(
+        L, x, al, convention=c.derivative_convention)),
+    "oscillator": (False, lambda c, L, g, x, al: noether.oscillator_quantity(x, c.omega, al)),
+    "q": (False, lambda c, L, g, x, al: lagrangian.second_el_quantity(L, x, al)),
+}
 VARIANTS = ("conslaw", "conslaw2")
-CONVENTIONS = ("caputo", "rl")
 
 DEFAULT_DRIFT_TOLERANCE = 5e-2
 DEFAULT_GROUP_TOLERANCE = 1e-6
@@ -152,18 +183,6 @@ def _tagged(pairs, key, tags):
     return _choice({key: tag}, key, tags), _numbers(pairs, key, items)
 
 
-def _problem_number(pairs, key, problem, owner):
-    """``key``'s number: required by its owner problem, not meaningful for
-    any other (None there)."""
-    if problem != owner:
-        if key in pairs:
-            raise ConfigError(f"key {key!r} is not meaningful for problem {problem!r}")
-        return None
-    if key not in pairs:
-        raise ConfigError(f"missing key {key!r} (required for the {owner} problem)")
-    return _float(pairs, key)
-
-
 def _int(pairs, key):
     try:
         return int(pairs[key])
@@ -180,9 +199,10 @@ def _bool(pairs, key):
     raise ConfigError(f"key {key!r}: expected true/false, got {pairs[key]!r}")
 
 
-def _choice(pairs, key, allowed):
-    """``key``'s value, one of ``allowed``; the first when the key is absent."""
-    value = pairs.get(key, next(iter(allowed)))
+def _choice(pairs, key, allowed, default=None):
+    """``key``'s value, one of ``allowed``; ``default`` when the key is
+    absent, or the first of ``allowed`` without one."""
+    value = pairs.get(key, default or next(iter(allowed)))
     if value not in allowed:
         raise ConfigError(
             f"key {key!r}: expected one of {', '.join(allowed)}; got {value!r}"
@@ -235,25 +255,29 @@ def make_config(pairs: dict) -> RunConfig:
         raise ConfigError(
             f"key 'interval': expected 'a, b' with a < b, got {pairs['interval']!r}"
         )
-    if problem == "example2" and interval[0] < 0.0:
+    row = PROBLEMS[problem]
+    lacks = row.refuses(*interval)
+    if lacks:
         raise ConfigError(
-            "key 'interval': problem 'example2' needs a >= 0, "
-            f"got {pairs['interval']!r}"
+            f"key 'interval': problem {problem!r} needs {lacks}, got {pairs['interval']!r}"
         )
 
-    omega = _problem_number(pairs, "omega", problem, "oscillator")
+    for key in ("omega", "kappa"):
+        if key in pairs and key != row.number:
+            raise ConfigError(f"key {key!r} is not meaningful for problem {problem!r}")
+    if row.number is not None and row.number not in pairs:
+        raise ConfigError(f"missing key {row.number!r} (required for the {problem} problem)")
+    omega = _float(pairs, "omega") if "omega" in pairs else None
     if omega is not None and omega <= 0.0:
         raise ConfigError(f"key 'omega': must be positive, got {omega}")
     if omega is not None and not math.isfinite(omega * omega):
         raise ConfigError(f"key 'omega': omega**2 must be finite, got {omega}")
-    kappa = _problem_number(pairs, "kappa", problem, "custom")
-    if kappa is None:
-        kappa = -1.0 if omega is None else -(omega**2)
+    kappa = _float(pairs, "kappa") if "kappa" in pairs else -1.0 if omega is None else -(omega**2)
 
-    dim, bc = PROBLEMS[problem]
+    dim, bc = row.dim, row.bc
     if "bc" in pairs:
-        if problem == "example2":
-            raise ConfigError("key 'bc' is not meaningful for problem 'example2'")
+        if row.trajectory is not None:
+            raise ConfigError(f"key 'bc' is not meaningful for problem {problem!r}")
         bc = _tagged(pairs, "bc", BCS)
         if len(bc[1]) < 2 or len(bc[1]) % 2:
             raise ConfigError(
@@ -271,24 +295,22 @@ def make_config(pairs: dict) -> RunConfig:
     dim = dim or len(bc_data) // 2
 
     group, group_params = _tagged(pairs, "group", GROUPS)
-    lo, hi, _ = GROUPS[group]
+    lo, hi, group_dim, _ = GROUPS[group]
     if not lo <= len(group_params) <= hi:
         raise ConfigError(
             f"key 'group': {group} takes between {lo} and {hi} parameters, "
             f"got {len(group_params)}"
         )
-    if group == "space_only" and dim != 2:
+    if group_dim not in (None, dim):
         raise ConfigError(
-            "key 'group': the space_only rotation acts on 2-component problems"
+            f"key 'group': {group} acts on {group_dim}-component problems, got a {dim}-component one"
         )
 
-    quantity = _choice(pairs, "quantity", QUANTITIES)
-    if problem == "oscillator" and "quantity" not in pairs:
-        quantity = "oscillator"
-    elif quantity == "oscillator" and problem != "oscillator":
-        raise ConfigError(
-            "key 'quantity': the oscillator quantity requires the oscillator problem"
-        )
+    quantity = _choice(pairs, "quantity", QUANTITIES, row.quantity)
+    # a problem's own quantity, its default, reads numbers only it has
+    owner = next((name for name, r in PROBLEMS.items() if r.quantity == quantity), problem)
+    if owner != problem:
+        raise ConfigError(f"key 'quantity': the {quantity} quantity requires the {owner} problem")
 
     expected = _bool(pairs, "expected_conserved") if "expected_conserved" in pairs else False
     tolerance = (
@@ -300,7 +322,9 @@ def make_config(pairs: dict) -> RunConfig:
         raise ConfigError(f"key 'drift_tolerance': must be positive, got {tolerance}")
 
     variant = _choice(pairs, "conslaw_variant", VARIANTS)
-    convention = _choice(pairs, "derivative_convention", CONVENTIONS)
+    convention = _choice(
+        pairs, "derivative_convention", lagrangian._LEFT_OPS, lagrangian._DEFAULT_CONVENTION
+    )
     outputs = pairs.get("outputs", "out")
     if not outputs:
         raise ConfigError("key 'outputs': empty path")

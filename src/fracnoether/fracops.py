@@ -41,7 +41,8 @@ Quadrature conventions
 * A derivative node is defined only if every input node it reads is: a
   masked input masks itself and, for ``alpha < 1``, every later node
   (earlier for right operators); at ``alpha = 1`` its neighbours, and the
-  end node if it is among the first or last four.
+  end node if it is among the first or last four.  A defined node that
+  overflows raises NumericalFailure.
 
 All containers are immutable after construction (arrays are marked
 read-only) and safe to share across threads.
@@ -83,6 +84,10 @@ class FractionalOrder:
         if not (0.0 < a <= 1.0) or not math.isfinite(a):
             raise ValueError(f"fractional order must lie in (0, 1], got {self.alpha!r}")
         object.__setattr__(self, "alpha", a)
+
+
+class NumericalFailure(RuntimeError):
+    """Raised when a result on valid input is singular or not finite."""
 
 
 def _order(alpha) -> FractionalOrder:
@@ -194,32 +199,37 @@ def _derivative(grid: Grid, alpha, x: Trajectory, rl: bool, right: bool) -> Traj
     mask = x.mask[order]
     vals = np.where(mask[:, None], x.values[order], 0.0)
     h = grid.h
-    s = (vals[1:] - vals[:-1]) / h
-    if o.alpha == 1.0:
-        out = np.empty_like(vals)
-        out[1:-1] = (s[:-1] + s[1:]) * 0.5
-        if vals.shape[0] >= 4:
-            out[0] = (11.0 * s[0] - 7.0 * s[1] + 2.0 * s[2]) / 6.0
-            out[-1] = (11.0 * s[-1] - 7.0 * s[-2] + 2.0 * s[-3]) / 6.0
+    # the input is finite, so a non-finite result overflowed; that raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = (vals[1:] - vals[:-1]) / h
+        if o.alpha == 1.0:
+            out = np.empty_like(vals)
+            out[1:-1] = (s[:-1] + s[1:]) * 0.5
+            if vals.shape[0] >= 4:
+                out[0] = (11.0 * s[0] - 7.0 * s[1] + 2.0 * s[2]) / 6.0
+                out[-1] = (11.0 * s[-1] - 7.0 * s[-2] + 2.0 * s[-3]) / 6.0
+            else:
+                out[0] = (3.0 * s[0] - s[1]) * 0.5
+                out[-1] = (3.0 * s[-1] - s[-2]) * 0.5
+            # the central difference reads k-1..k+1, an end stencil 3 or 4 nodes
+            defined = mask.copy()
+            defined[1:-1] &= mask[:-2] & mask[2:]
+            defined[[0, -1]] = np.all(mask[:4]), np.all(mask[-4:])
         else:
-            out[0] = (3.0 * s[0] - s[1]) * 0.5
-            out[-1] = (3.0 * s[-1] - s[-2]) * 0.5
-        # the central difference reads k-1..k+1, an end stencil 3 or 4 nodes
-        defined = mask.copy()
-        defined[1:-1] &= mask[:-2] & mask[2:]
-        defined[[0, -1]] = np.all(mask[:4]), np.all(mask[-4:])
+            # out[k] = sum_{i<k} W[k-i] * s[i] with the L1 profile W, by the exactly
+            # causal convolution: W[0] = 0 keeps row 0 zero, zero slopes give zeros
+            out = _kernels.profile_convolve(
+                grid.n_nodes, h, 1.0 - o.alpha, math.gamma(2.0 - o.alpha), s
+            )
+            defined = np.logical_and.accumulate(mask)  # node k reads nodes 0..k
+            if rl:
+                corr = (np.arange(1, grid.n_nodes) * h) ** (-o.alpha) / math.gamma(1.0 - o.alpha)
+                out[1:] += corr[:, None] * vals[0]
+                defined[0] = False
+    try:
         return make_trajectory(grid, out[order], mask=defined[order])
-    # out[k] = sum_{i<k} W[k-i] * s[i] with the L1 profile W, by the exactly
-    # causal convolution: W[0] = 0 keeps row 0 zero, zero slopes give zeros
-    out = _kernels.profile_convolve(
-        grid.n_nodes, h, 1.0 - o.alpha, math.gamma(2.0 - o.alpha), s
-    )
-    defined = np.logical_and.accumulate(mask)  # node k reads nodes 0..k
-    if rl:
-        corr = (np.arange(1, grid.n_nodes) * h) ** (-o.alpha) / math.gamma(1.0 - o.alpha)
-        out[1:] += corr[:, None] * vals[0]
-        defined[0] = False
-    return make_trajectory(grid, out[order], mask=defined[order])
+    except ValueError:  # a non-finite defined node
+        raise NumericalFailure(f"fractional derivative of order {o.alpha:g} overflows") from None
 
 
 def caputo_left(grid: Grid, alpha, x: Trajectory) -> Trajectory:

@@ -127,18 +127,20 @@ def _quantity(s: _Along, g: GroupSpec, variant: str, form: str, diffs: str) -> Q
     lvals = s.at("eval")
     p = s.at("d_v")
 
-    shifted = xdot * zeta[:, None] - xi
-    if variant == "conslaw":
-        lead = np.sum(s.right_of_momentum() * shifted, axis=1)
-    else:
-        # on stationary trajectories D_b-[dL/dv] = -dL/dx; substituting
-        # removes the right derivative (and its masked node) entirely
-        lead = -np.sum(s.at("d_x") * shifted, axis=1)
-    second = np.sum(
-        p * (zeta[:, None] * s.left(xdot) + zeta_dot[:, None] * s.dxa - s.left(xi)),
-        axis=1,
-    )
-    integrand = lead - second
+    # a term that overflows masks its node, as any non-finite integrand does
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = xdot * zeta[:, None] - xi
+        if variant == "conslaw":
+            lead = np.sum(s.right_of_momentum() * shifted, axis=1)
+        else:
+            # on stationary trajectories D_b-[dL/dv] = -dL/dx; substituting
+            # removes the right derivative (and its masked node) entirely
+            lead = -np.sum(s.at("d_x") * shifted, axis=1)
+        second = np.sum(
+            p * (zeta[:, None] * s.left(xdot) + zeta_dot[:, None] * s.dxa - s.left(xi)),
+            axis=1,
+        )
+        integrand = lead - second
     fmask = np.isfinite(integrand)
 
     boundary = lvals * zeta

@@ -49,6 +49,7 @@ from ._kernels import LowerToeplitz
 from .fracops import (
     FractionalOrder,
     Grid,
+    NumericalFailure,
     Trajectory,
     _order,
     make_trajectory,
@@ -65,10 +66,6 @@ RESIDUAL_MAX = 1e-3
 # smallest |eigenvalue| of the preconditioner; keeps it invertible where
 # the circulant puts an eigenvalue of kappa*C C^T at 1
 PRECOND_FLOOR = 1e-3
-
-
-class NumericalFailure(RuntimeError):
-    """Raised when the assembled system is singular or numerically unusable."""
 
 
 @dataclass(frozen=True, eq=False)

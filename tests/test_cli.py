@@ -1,11 +1,14 @@
 """Tests for configuration parsing and the command-line pipeline."""
 
+import ast
 import filecmp
+import inspect
 import os
 
 import numpy as np
 import pytest
 
+import fracnoether.config as CF
 import fracnoether.fracops as F
 import fracnoether.noether as NO
 import fracnoether.presets as PR
@@ -204,7 +207,7 @@ class TestMakeConfig:
 
     @pytest.mark.parametrize("name", list(GROUPS))
     def test_each_group_builds_at_its_parameter_limits(self, name):
-        lo, hi, _ = GROUPS[name]
+        lo, hi, *_ = GROUPS[name]
         for count in (lo, hi):
             config = make_config(self.base(group=", ".join([name] + ["0.5"] * count)))
             assert config.group_params == (0.5,) * count
@@ -228,10 +231,65 @@ class TestMakeConfig:
         config = make_config(
             {"problem": name, "alphas": "0.5", "n_sub": "10", **extra.get(name, {})}
         )
-        dim, bc = PROBLEMS[name]
+        dim, bc, *_ = PROBLEMS[name]
         assert config.dim == (dim or 3)
         if bc is not None:
             assert (config.bc_kind, config.bc_data) == bc
+
+    @staticmethod
+    def minimal(name):
+        """The fewest pairs that make problem ``name`` valid; a required bc
+        has three components."""
+        row = PROBLEMS[name]
+        pairs = {"problem": name, "alphas": "0.5", "n_sub": "10"}
+        if row.number is not None:
+            pairs[row.number] = "1"
+        if row.bc is None:
+            pairs["bc"] = "dirichlet, 0, 0, 0, 1, 1, 1"
+        return pairs
+
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_each_row_requires_its_number_key_and_rejects_the_others(self, name):
+        number = PROBLEMS[name].number
+        pairs = self.minimal(name)
+        make_config(pairs)
+        if number is not None:
+            missing = {k: v for k, v in pairs.items() if k != number}
+            with pytest.raises(
+                ConfigError, match=f"^missing key '{number}' \\(required for the {name} problem\\)$"
+            ):
+                make_config(missing)
+        others = sorted({r.number for r in PROBLEMS.values()} - {None, number})
+        assert others
+        for key in others:
+            with pytest.raises(
+                ConfigError, match=f"^key '{key}' is not meaningful for problem '{name}'$"
+            ):
+                make_config({**pairs, key: "1"})
+
+    @pytest.mark.parametrize(
+        "name", [name for name, row in PROBLEMS.items() if row.trajectory is not None]
+    )
+    def test_a_preset_row_rejects_bc_and_solve(self, name, tmp_path, capsys):
+        pairs = self.minimal(name)
+        with pytest.raises(ConfigError, match=f"^key 'bc' is not meaningful for problem '{name}'$"):
+            make_config({**pairs, "bc": "dirichlet, 1, 2, 2, 1"})
+        cfg = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in pairs.items()))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: problem '{name}' has no linear solve; use the noether or check command\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_each_row_lagrangian_has_the_row_dimension(self, name):
+        config = make_config(self.minimal(name))
+        assert config.dim == (PROBLEMS[name].dim or 3)
+        assert PROBLEMS[name].lagrangian(config, 0.5).dim == config.dim
+
+    def test_conventions_are_the_left_operators(self):
+        with pytest.raises(ConfigError, match="expected one of caputo, rl; got 'grunwald'$"):
+            make_config(self.base(derivative_convention="grunwald"))
 
     @pytest.mark.parametrize("kind", list(BCS))
     def test_each_boundary_kind_builds_its_solver_data(self, kind):
@@ -607,6 +665,40 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize(
+        "command, text, code, err",
+        [
+            (
+                command,
+                "problem = example2\nalphas = 0.5\nn_sub = 20\ninterval = 0, 1e200\n",
+                1,
+                "config error: key 'interval': problem 'example2' needs a finite b^2, "
+                "got '0, 1e200'\n",
+            )
+            for command in ("noether", "check")
+        ]
+        + [
+            (
+                command,
+                f"problem = harmonic2d\nalphas = 0.5\nn_sub = 20\ninterval = 0, {b}\n",
+                2,
+                "numerical failure: fractional derivative of order 0.5 overflows\n",
+            )
+            for command, b in (("solve", "1e-300"), ("noether", "1e-200"))
+        ],
+        ids=[
+            "example2-b-squared-overflows-noether",
+            "example2-b-squared-overflows-check",
+            "harmonic2d-derivative-overflows-solve",
+            "harmonic2d-derivative-overflows-noether",
+        ],
+    )
+    def test_extreme_interval_exits_with_one_line(self, tmp_path, capsys, command, text, code, err):
+        # a RuntimeWarning is an error under pytest, so a leaked one fails too
+        cfg = write_config(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == err
+
     def test_time_map_that_merges_nodes_is_named(self, tmp_path, capsys):
         # e^s (t - 1e300) + 1e300 is increasing, but in floating point it
         # maps every node to the same time
@@ -620,6 +712,38 @@ class TestExitCodes:
             "config error: group 'localized_dilation': phi0_s maps distinct nodes "
             "to equal times; no transformed grid exists\n"
         )
+
+
+class TestOneRowPerProblem:
+    def test_cli_names_no_problem(self):
+        # string constants outside docstrings; what a problem decides is
+        # read off its PROBLEMS row
+        tree = ast.parse(inspect.getsource(cli))
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body
+            and isinstance(node.body[0], ast.Expr)
+        }
+        literals = [
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ]
+        assert not [v for v in literals if any(name in v for name in PROBLEMS)]
+
+    def test_make_config_compares_no_problem_or_group_name(self):
+        compared = [
+            side.value
+            for node in ast.walk(ast.parse(inspect.getsource(CF.make_config)))
+            if isinstance(node, ast.Compare)
+            for side in [node.left, *node.comparators]
+            if isinstance(side, ast.Constant)
+        ]
+        assert not set(compared) & (set(PROBLEMS) | set(GROUPS))
 
 
 class TestConventionHeader:

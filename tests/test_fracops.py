@@ -296,6 +296,25 @@ class TestRiemannLiouville:
         assert F.rl_right(g, 1.0, x).mask.all()
 
 
+class TestOverflow:
+    @pytest.mark.parametrize("op", [F.caputo_left, F.caputo_right, F.rl_left, F.rl_right])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_overflow_is_a_numerical_failure(self, op, alpha):
+        # finite values on a 1e-300 grid: every slope overflows; the
+        # failure raises without a RuntimeWarning (an error under pytest)
+        g = F.make_grid(0.0, 1e-300, 20)
+        x = F.make_trajectory(g, np.cos(np.arange(g.n_nodes)) * 1e10)
+        with pytest.raises(F.NumericalFailure, match=f"order {alpha:g} overflows"):
+            op(g, alpha, x)
+
+    def test_one_failure_class(self):
+        import fracnoether
+        from fracnoether import solver
+
+        assert fracnoether.NumericalFailure is solver.NumericalFailure is F.NumericalFailure
+        assert issubclass(F.NumericalFailure, RuntimeError)
+
+
 class TestComposition:
     def test_frozen_residuals_alpha_half(self):
         # recorded from this implementation at first build; guards regressions

@@ -11,13 +11,16 @@ e = 1-alpha, gamma = Gamma(2-alpha).
 Only left-sided weight matrices are built here.  The right-sided operators
 are exactly the left ones flipped in both indices (the kernels mirror under
 s -> a + b - s).  Each is column 0 plus a lower-triangular Toeplitz
-symbol, filled by ``_lower_toeplitz`` and read back by ``LowerToeplitz``
-only.  Two applies use that layout:
+symbol, filled by ``_lower_toeplitz`` (which writes the lower triangle
+only, over a zeroed array) and read back by ``LowerToeplitz`` only.  Two
+applies use that layout:
 
 * ``LowerToeplitz`` applies a weight matrix: column 0 times the node-0
   value plus one zero-padded real FFT pair with the symbol, causal to
   rounding.  The solver's I_left @ I_right and the composition check
-  apply the integral matrix through it.
+  apply the integral matrix through it.  The FFT length is the smallest
+  2^i 3^j 5^k >= 2N - 1 (``_fft_length``): 6400 at N = 3200, where the
+  next power of two is 8192.
 * ``causal_convolve`` applies the L1 derivative's profile to slopes,
   exactly causal.
 
@@ -34,6 +37,7 @@ thread and uses no BLAS.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -56,7 +60,8 @@ def _profile(n, h, expo, gamma):
     """The profile and its ``causal_convolve`` blocks, filled on first use.
     One order on one grid uses the L1 (1-alpha) and integral (alpha)
     profiles; the chain-rule check adds the L1 profile of its new grid."""
-    p = np.array([math.pow(g * h, expo) for g in range(n)])
+    # libm pow per node: np.power is not bit-equal to it
+    p = np.fromiter(map(math.pow, (np.arange(n) * h).tolist(), itertools.repeat(expo)), float, n)
     w = np.zeros(n)
     w[1:] = (p[1:] - p[:-1]) / gamma
     w.setflags(write=False)
@@ -125,13 +130,34 @@ def causal_convolve(b, s, blocks):
 def _lower_toeplitz(column0, symbol):
     """The n x n matrix with ``column0`` (length n) in column 0,
     symbol[k - j] (symbol of length n - 1) at row k, column j for
-    1 <= j <= k, and zeros above the diagonal: one strided copy of windows
-    of the reversed, zero-padded symbol.  ``LowerToeplitz`` reads it back."""
+    1 <= j <= k, and zeros above the diagonal.  Only the lower triangle is
+    written: rows r0..r1-1 (``LEAF`` at a time) take columns 0..r1-1 from
+    windows of the reversed, zero-padded symbol, and the rest stays the
+    zeros of the fresh array.  ``LowerToeplitz`` reads it back."""
     n = column0.shape[0]
     padded = np.concatenate([[0.0], symbol[::-1], np.zeros(n - 1)])
-    out = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1].copy()
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
+    out = np.zeros((n, n))
+    for r0 in range(0, n, LEAF):
+        r1 = min(r0 + LEAF, n)
+        out[r0:r1, :r1] = windows[r0:r1, :r1]
     out[:, 0] = column0
     return out
+
+
+def _fft_length(n):
+    """The smallest 2^i 3^j 5^k >= n, for n >= 1: a length numpy's FFT
+    splits into radix-2, -3 and -5 passes only."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least p35 * 2^i >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 class LowerToeplitz:
@@ -139,7 +165,7 @@ class LowerToeplitz:
 
     Column 0 and the symbol t[g] = matrix[N, N-g] (g < N) are read off
     once, as fresh O(N) arrays ``column0`` and ``symbol``, and the
-    symbol's real FFT is kept, zero-padded to a power of two >= 2N: then
+    symbol's real FFT is kept, zero-padded to ``_fft_length(2N - 1)``: then
     the first N entries of the cyclic convolution are free of wrap-around.
     """
 
@@ -147,7 +173,7 @@ class LowerToeplitz:
         n = matrix.shape[0]
         self.column0 = matrix[:, 0].copy()
         self.symbol = matrix[n - 1, :0:-1].copy()
-        self._nfft = 1 << (2 * (n - 1) - 1).bit_length()
+        self._nfft = _fft_length(2 * (n - 1) - 1)
         self._spectrum = np.fft.rfft(self.symbol, self._nfft)
 
     def apply(self, v):

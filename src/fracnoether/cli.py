@@ -147,10 +147,15 @@ def cmd_solve(config: RunConfig) -> int:
         raise ConfigError(
             f"problem {config.problem!r} has no linear solve; use the noether or check command"
         )
-    results = {a: _trajectory(config, a) for a in sorted(set(config.alphas))}
+    results = {}
+    for alpha in sorted(set(config.alphas)):
+        x = _trajectory(config, alpha)
+        lagrangian = PROBLEMS[config.problem].lagrangian(config, alpha)
+        results[alpha] = x, LG.el_residual(lagrangian, x, alpha)
+    # every order is solved and checked before anything is written
     os.makedirs(config.outputs, exist_ok=True)
     names = [f"x{j + 1}" for j in range(config.dim)]
-    for alpha, x in results.items():
+    for alpha, (x, residual) in results.items():
         tag = _alpha_tag(alpha)
         comments = _comment_lines(config, "solve", alpha)
         _write_csv(
@@ -159,7 +164,6 @@ def cmd_solve(config: RunConfig) -> int:
             ["t"] + names,
             _node_rows(x.grid, x.values, None),
         )
-        residual = LG.el_residual(PROBLEMS[config.problem].lagrangian(config, alpha), x, alpha)
         _write_csv(
             os.path.join(config.outputs, f"residual_alpha{tag}.csv"),
             comments,
@@ -176,22 +180,25 @@ def cmd_noether(config: RunConfig) -> int:
         a: series(config, lagrangian(config, a), group, _trajectory(config, a), a)
         for a in sorted(set(config.alphas))
     }
+    reports = {}
+    for alpha, series in results.items():
+        try:
+            reports[alpha] = NO.drift(series)
+        except ValueError as exc:
+            raise ConfigError(f"alpha = {_alpha_tag(alpha)}: {exc}") from None
+    # every order is evaluated and reduced before anything is written
     os.makedirs(config.outputs, exist_ok=True)
     convention = _convention(config, "noether")
     summary = []
     offenders = []
-    for alpha, series in results.items():
-        tag = _alpha_tag(alpha)
+    for alpha, report in reports.items():
+        series = report.series
         _write_csv(
-            os.path.join(config.outputs, f"quantity_alpha{tag}.csv"),
+            os.path.join(config.outputs, f"quantity_alpha{_alpha_tag(alpha)}.csv"),
             _comment_lines(config, "noether", alpha),
             ["t", "I"],
             _node_rows(series.grid, series.values[:, None], series.mask),
         )
-        try:
-            report = NO.drift(series)
-        except ValueError as exc:
-            raise ConfigError(f"alpha = {_alpha_tag(alpha)}: {exc}") from None
         summary.append(
             [
                 _fmt(alpha),

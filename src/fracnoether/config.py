@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from . import lagrangian, noether, presets, solver, symmetry
+from .noether import VARIANTS
 
 
 class Problem(NamedTuple):
@@ -89,7 +90,6 @@ QUANTITIES = {
     "oscillator": (False, lambda c, L, g, x, al: noether.oscillator_quantity(x, c.omega, al)),
     "q": (False, lambda c, L, g, x, al: lagrangian.second_el_quantity(L, x, al)),
 }
-VARIANTS = ("conslaw", "conslaw2")
 
 DEFAULT_DRIFT_TOLERANCE = 5e-2
 DEFAULT_GROUP_TOLERANCE = 1e-6

@@ -61,6 +61,8 @@ from .symmetry import GroupSpec, time_translation
 
 DRIFT_FLOOR = 1e-12
 AUTONOMY_TOL = 1e-9
+# the forms noether_quantity accepts; the CLI defaults to the first
+VARIANTS = ("conslaw", "conslaw2")
 
 
 @dataclass(frozen=True)
@@ -176,9 +178,9 @@ def noether_quantity(
     two differ exactly by the Euler-Lagrange residual contracted with
     xdot zeta - xi) and needs no right derivative.
     """
-    if variant not in ("conslaw", "conslaw2"):
+    if variant not in VARIANTS:
         raise ValueError(
-            f"variant must be 'conslaw' or 'conslaw2', got {variant!r}"
+            f"variant must be {' or '.join(map(repr, VARIANTS))}, got {variant!r}"
         )
     s = _Along(L, x, alpha, "noether_quantity", convention)
     return _quantity(s, g, variant, f"{variant} form", "xdot and zeta-dot")

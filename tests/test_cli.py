@@ -429,6 +429,22 @@ class TestNoetherCommand:
         assert main(["noether", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "quantity_alpha0.5.csv").is_file()
 
+    def test_undefined_drift_writes_nothing(self, tmp_path, capsys):
+        # on 3 nodes the rl node 0 and the D_b- node N are masked, so the
+        # drift of the second order has one node; the first order's
+        # quantity must not be written either
+        cfg = write_config(
+            tmp_path,
+            "problem = oscillator\nomega = 1\nalphas = 1, 0.5\nn_sub = 2\n"
+            "derivative_convention = rl\nquantity = autonomous\n",
+        )
+        out = tmp_path / "out"
+        assert main(["noether", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: alpha = 0.5: drift needs at least 2 defined nodes, got 1\n"
+        )
+        assert not out.exists()
+
 
 class TestCheckCommand:
     def test_example2_dilation_all_pass(self, tmp_path):
@@ -698,6 +714,8 @@ class TestExitCodes:
         cfg = write_config(tmp_path, text)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
         assert capsys.readouterr().err == err
+        # a failing run writes nothing, not even the output directory
+        assert not (tmp_path / "o").exists()
 
     def test_time_map_that_merges_nodes_is_named(self, tmp_path, capsys):
         # e^s (t - 1e300) + 1e300 is increasing, but in floating point it

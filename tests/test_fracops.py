@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracnoether import _kernels
@@ -366,6 +366,9 @@ class TestComposition:
         dim=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
+    # the benchmark size, with an FFT length (6400) that is not a power of two
+    @example(alpha=0.57, n_sub=3200, a=0.0, length=1.0, dim=2, seed=0)
+    @example(alpha=1.0, n_sub=3200, a=-1.0, length=3.0, dim=1, seed=1)
     def test_structured_apply_matches_dense_product(self, alpha, n_sub, a, length, dim, seed):
         # check_composition and the solver apply the integral matrix by its
         # column 0 and Toeplitz symbol; the dense product is the oracle
@@ -616,6 +619,8 @@ class TestToeplitzFill:
         h=st.floats(1e-3, 10.0),
         alpha=st.floats(0.0, 1.0, exclude_min=True),
     )
+    # the benchmark size: 3201 rows are 50 full LEAF blocks and one of 1 row
+    @example(n=3201, h=1.0 / 3200, alpha=0.57)
     def test_fills_match_row_reference_bitwise(self, n, h, alpha):
         ga1 = math.gamma(alpha + 1.0)
         assert _kernels.integral_weights(n, h, alpha, ga1).tobytes() == (
@@ -639,6 +644,19 @@ class TestToeplitzFill:
         assert parts.column0.tobytes() == c.tobytes()
         assert parts.symbol.tobytes() == s.tobytes()
         assert not np.shares_memory(parts.column0, m) and not np.shares_memory(parts.symbol, m)
+
+    def test_fft_length_is_the_least_5_smooth_bound(self):
+        # brute force: every 2^i 3^j 5^k up to 5000 = 2^3 5^4
+        smooth = [
+            2**i * 3**j * 5**k
+            for i in range(13)
+            for j in range(8)
+            for k in range(6)
+            if 2**i * 3**j * 5**k <= 5000
+        ]
+        for n in range(1, 5001):
+            assert _kernels._fft_length(n) == min(m for m in smooth if m >= n), n
+        assert _kernels._fft_length(2 * 3200 - 1) == 6400
 
     @pytest.mark.parametrize("n_sub", (2, 3, 63, 64, 200, 3200))
     @pytest.mark.parametrize("alpha", ALPHAS)

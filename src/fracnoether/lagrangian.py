@@ -10,8 +10,12 @@ L - D^alpha x . dL/dv whose constancy is probed by the conservation checks.
 
 Every Lagrangian series along a trajectory, here and in ``noether`` and
 ``symmetry``, comes from ``_Along``: it refuses a partly masked trajectory
-before any apply, takes D_a+ x and each partial once, and holds the
-package's one D_b- outside ``fracops``, of the momentum dL/dv.
+before any apply, takes D_a+ x, each partial and the package's one D_b-
+outside ``fracops`` (of the momentum dL/dv) once per (L, x, alpha,
+convention), and names the operators its own call took.  The ingredients
+live in the most recent ``_Context``, one module-level slot shared by all
+public calls: a call on the same L and x objects at an equal order and
+convention reads them, any other call replaces them.
 ``_operators`` spells the operators of every context and CSV header.
 
 Evaluator contract: each evaluator is called once per series on node
@@ -206,8 +210,11 @@ def _node_series(L: LagrangianSpec, name: str, times, xvals, vvals):
     fn = getattr(L, name)
     shape = (len(times),) if name in ("eval", "d_t") else (len(times), L.dim)
     label = f"Lagrangian {name} evaluator {getattr(fn, '__qualname__', fn)!r}"
-    out = _as_series(fn(times, xvals, vvals), shape, label)
-    one = np.asarray(fn(times[-1], xvals[-1], vvals[-1]), dtype=float)
+    # a value the evaluator cannot represent comes out non-finite, which
+    # masks its node (or raises where a series must be defined)
+    with np.errstate(all="ignore"):
+        out = _as_series(fn(times, xvals, vvals), shape, label)
+        one = np.asarray(fn(times[-1], xvals[-1], vvals[-1]), dtype=float)
     if one.shape not in ((), shape[1:]) or not np.allclose(
         out[-1], one, rtol=1e-12, atol=0.0, equal_nan=True
     ):
@@ -220,6 +227,9 @@ def _node_series(L: LagrangianSpec, name: str, times, xvals, vvals):
 
 _LEFT_OPS = {"caputo": caputo_left, "rl": rl_left}
 _DEFAULT_CONVENTION = "caputo"
+# D_a+ results of further series one context keeps, the oldest dropped
+# first: a check looping over many space maps cannot grow it
+_LEFT_KEPT = 4
 
 
 def _operators(convention: str, right: bool) -> str:
@@ -227,45 +237,98 @@ def _operators(convention: str, right: bool) -> str:
     return f"D_a+ = {convention}" + (", D_b- = rl" if right else "")
 
 
+class _Context:
+    """The ingredients of one (L, x, alpha, convention), each taken at most
+    once and stored read-only: D_a+ x on construction, then on demand the
+    sampled partials, D_b- of the momentum, and D_a+ of up to
+    ``_LEFT_KEPT`` further series, keyed by their bytes."""
+
+    def __init__(self, L, x, o, convention):
+        self.L, self.x, self.o, self.convention = L, x, o, convention
+        self._op = _LEFT_OPS[convention]
+        self.dxa = self._op(x.grid, o, x).values
+        self._partials, self._lefts, self._right = {}, (), None
+
+    def left(self, values: np.ndarray) -> np.ndarray:
+        if not np.any(values):
+            return np.where(np.isnan(self.dxa), np.nan, 0.0)
+        if np.array_equal(values, self.x.values):
+            return self.dxa
+        arr = np.asarray(values, dtype=float)
+        key = (arr.shape, arr.tobytes())
+        for kept, out in self._lefts:
+            if kept == key:
+                return out
+        out = self._op(self.x.grid, self.o, make_trajectory(self.x.grid, arr)).values
+        # one tuple, replaced whole: a concurrent call can at worst drop an entry
+        self._lefts = (*self._lefts, (key, out))[-_LEFT_KEPT:]
+        return out
+
+    def at(self, name: str) -> np.ndarray:
+        out = self._partials.get(name)
+        if out is None:
+            out = _node_series(self.L, name, self.x.grid.nodes, self.x.values, self.dxa).view()
+            out.setflags(write=False)
+            self._partials[name] = out
+        return out
+
+    def right_of_momentum(self) -> np.ndarray:
+        if self._right is None:
+            p, grid = self.at("d_v"), self.x.grid
+            rows = np.all(np.isfinite(p), axis=1)
+            self._right = rl_right(grid, self.o, make_trajectory(grid, p, mask=rows)).values
+        return self._right
+
+
+# the most recent context: strong references, so no id in its key can be
+# reused while it is held, and one context alive at a time
+_slot = None
+
+
+def _context(L, x, o, convention) -> _Context:
+    global _slot
+    ctx = _slot
+    if not (
+        ctx is not None
+        and ctx.L is L
+        and ctx.x is x
+        and ctx.o.alpha == o.alpha
+        and ctx.convention == convention
+    ):
+        ctx = _slot = _Context(L, x, o, convention)
+    return ctx
+
+
 class _Along:
-    """A Lagrangian along one trajectory.  Construction checks the order,
-    that ``x`` is fully defined (``what`` names the caller), the dims and
-    the convention, so a bad argument raises before any apply; it then
-    takes D_a+ x.  It samples each partial at most once and records
-    whether D_b- was taken, for ``operators()``."""
+    """A Lagrangian along one trajectory, as one public call sees it.
+    Construction checks the order, that ``x`` is fully defined (``what``
+    names the caller), the dims and the convention, so a bad argument
+    raises before any apply.  The ingredients come from the one shared
+    ``_Context`` of (L, x, alpha, convention), so each is taken once per
+    (L, x, alpha, convention), not once per call; the view records
+    whether this call took D_b-, for ``operators()``."""
 
     def __init__(self, L, x, alpha, what, convention=_DEFAULT_CONVENTION):
         self.o = _order(alpha)
         _require_defined(x, what)
         if L.dim != x.dim:
             raise ValueError(f"Lagrangian dim {L.dim} != trajectory dim {x.dim}")
-        try:
-            self._op = _LEFT_OPS[convention]
-        except KeyError:
+        if convention not in _LEFT_OPS:
             raise ValueError(
                 f"convention must be one of {sorted(_LEFT_OPS)}, got {convention!r}"
-            ) from None
-        self.L, self.x, self.grid, self.convention = L, x, x.grid, convention
-        self.took_right, self._partials = False, {}
-        self.dxa = self._op(self.grid, self.o, x).values
+            )
+        self._ctx = _context(L, x, self.o, convention)
+        self.x, self.grid, self.dxa, self.took_right = x, x.grid, self._ctx.dxa, False
 
     def left(self, values: np.ndarray) -> np.ndarray:
         """D_a+ of a further node series, in the convention of D_a+ x.  An
         all-zero series skips the apply: both conventions map it to +0.0,
         NaN where D_a+ x is undefined; x itself returns D_a+ x."""
-        if not np.any(values):
-            return np.where(np.isnan(self.dxa), np.nan, 0.0)
-        if np.array_equal(values, self.x.values):
-            return self.dxa
-        return self._op(self.grid, self.o, make_trajectory(self.grid, values)).values
+        return self._ctx.left(values)
 
     def at(self, name: str) -> np.ndarray:
-        """The Lagrangian's ``name`` evaluator at (t, x, D_a+ x), sampled once."""
-        if name not in self._partials:
-            self._partials[name] = _node_series(
-                self.L, name, self.grid.nodes, self.x.values, self.dxa
-            )
-        return self._partials[name]
+        """The Lagrangian's ``name`` evaluator at (t, x, D_a+ x)."""
+        return self._ctx.at(name)
 
     def w_partial(self, factor: float) -> np.ndarray:
         """L - factor * D_a+ x . dL/dv: at factor = alpha the Jost extension's
@@ -276,12 +339,11 @@ class _Along:
         """D_b- of the momentum dL/dv, rows with a NaN masked, and with
         them every node whose D_b- reads one: the package's one D_b-
         outside ``fracops``."""
-        self.took_right, p = True, self.at("d_v")
-        rows = np.all(np.isfinite(p), axis=1)
-        return rl_right(self.grid, self.o, make_trajectory(self.grid, p, mask=rows)).values
+        self.took_right = True
+        return self._ctx.right_of_momentum()
 
     def operators(self) -> str:
-        return _operators(self.convention, self.took_right)
+        return _operators(self._ctx.convention, self.took_right)
 
 
 def _el_residual(s: _Along) -> Trajectory:

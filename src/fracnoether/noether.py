@@ -15,11 +15,12 @@ autonomous and oscillator quantities are the general one at the time
 translation (the oscillator's with its stock Lagrangian), and the two
 residual series draw on the same ingredients.  Those come from
 ``lagrangian._Along``, the package's one evaluation of a Lagrangian along
-a trajectory: it checks the arguments before any apply, takes D_a+ x
-once, applies further left derivatives (none for an all-zero series),
-samples each partial once, computes the Jost w-partial
-L - f D_a+ x . dL/dv, takes D_b- of the momentum dL/dv, and names the
-operators it took.  This module applies and names no operator itself.
+a trajectory: it checks the arguments before any apply; takes D_a+ x,
+D_a+ of further series (none for an all-zero series), each partial and
+D_b- of the momentum dL/dv once per (L, x, alpha, convention), so that
+quantities and residuals on one trajectory share them; computes the Jost
+w-partial L - f D_a+ x . dL/dv; and names the operators each call took.
+This module applies and names no operator itself.
 
 Conventions (each series' ``context`` names D_b- exactly when one ran):
 
@@ -129,7 +130,8 @@ def _quantity(s: _Along, g: GroupSpec, variant: str, form: str, diffs: str) -> Q
     lvals = s.at("eval")
     p = s.at("d_v")
 
-    # a term that overflows masks its node, as any non-finite integrand does
+    # a term that overflows masks its node, as any non-finite integrand does,
+    # and so does a boundary term or running integral that overflows
     with np.errstate(over="ignore", invalid="ignore"):
         shifted = xdot * zeta[:, None] - xi
         if variant == "conslaw":
@@ -143,12 +145,10 @@ def _quantity(s: _Along, g: GroupSpec, variant: str, form: str, diffs: str) -> Q
             axis=1,
         )
         integrand = lead - second
-    fmask = np.isfinite(integrand)
-
-    boundary = lvals * zeta
-    values = boundary + _cumtrapz_masked(integrand, fmask, h)
+        fmask = np.isfinite(integrand)
+        values = lvals * zeta + _cumtrapz_masked(integrand, fmask, h)
     # node k integrates over nodes 0..k; node 0 is the zero endpoint
-    mask = np.isfinite(boundary)
+    mask = np.isfinite(values)
     mask[1:] &= np.logical_and.accumulate(fmask[1:])
     context = f"{form}; {s.operators()}; {diffs} by central differences"
     return make_series(s.grid, np.where(mask, values, np.nan), mask=mask, context=context)

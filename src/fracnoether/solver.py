@@ -312,7 +312,9 @@ def solve(problem: LinearProblem) -> SolveReport:
     misses its backward-error target TOL within MAX_ITERATIONS steps, or
     when the relative residual ||b - A x|| / ||b|| exceeds RESIDUAL_MAX.
     """
-    system = assemble(problem)
+    # a system that overflows gives non-finite GMRES output, which raises below
+    with np.errstate(all="ignore"):
+        system = assemble(problem)
     rhs, anorm = system.rhs, system.anorm
     x, residual = np.empty_like(rhs), np.empty_like(rhs)
     cond, steps, backward = 1.0, 0, 0.0

@@ -17,8 +17,9 @@ violation and fails the check.  Exceptions are reserved for unusable
 inputs, e.g. a time map that is not increasing on the interval (so no
 transformed grid exists) or a partially defined trajectory.  The actions
 in ``check_invariance`` are sampled through ``lagrangian._Along``, like
-every other Lagrangian series; only ``check_chain_rule`` applies an
-operator itself.
+every other Lagrangian series, so D_a+ x and L along x are taken once per
+(L, x, alpha, convention) and shared with the quantities on the same
+trajectory; only ``check_chain_rule`` applies an operator itself.
 
 Group closures must be pure functions.
 
@@ -379,30 +380,32 @@ def check_invariance(
     s_arr = _samples(s_samples, DEFAULT_S_SAMPLES, "s_samples")
     along = _Along(L, x, alpha, "check_invariance")
     o, grid = along.o, along.grid
-    reference = float(np.trapezoid(along.at("eval"), dx=grid.h))
+    # an action that overflows is a non-finite sample, which fails the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = float(np.trapezoid(along.at("eval"), dx=grid.h))
 
-    worst = 0.0
-    for s in s_arr:
-        s = float(s)
-        y_vals = _space_map(g, s, x.values)
-        if fixed_base:
-            tau_nodes = _time_map(g, s, grid.nodes)
-            if not abs(tau_nodes[0] - grid.a) <= 1e-9:  # absolute; NaN counts as moved
-                raise ValueError(
-                    "fixed-base invariance requires phi0_s(a) = a; "
-                    f"got phi0_s(a) = {tau_nodes[0]:g} for s = {s:g}"
-                )
-            z = _resample(tau_nodes, y_vals, grid.a, grid.n_sub)
-            on_z = _Along(L, z, o, "check_invariance")
-            transformed = float(np.trapezoid(on_z.at("eval"), dx=z.grid.h))
-        else:
-            k_factor = dilation_factor(g, s, grid.nodes)
-            times = _time_map(g, s, grid.nodes)
-            scaled = along.left(y_vals) * k_factor ** (-o.alpha)
-            series = _node_series(L, "eval", times, y_vals, scaled) * k_factor
-            transformed = float(np.trapezoid(series, dx=grid.h))
-        gap = abs(transformed - reference) / (abs(reference) + 1.0)
-        worst = np.maximum(worst, gap)
+        worst = 0.0
+        for s in s_arr:
+            s = float(s)
+            y_vals = _space_map(g, s, x.values)
+            if fixed_base:
+                tau_nodes = _time_map(g, s, grid.nodes)
+                if not abs(tau_nodes[0] - grid.a) <= 1e-9:  # absolute; NaN counts as moved
+                    raise ValueError(
+                        "fixed-base invariance requires phi0_s(a) = a; "
+                        f"got phi0_s(a) = {tau_nodes[0]:g} for s = {s:g}"
+                    )
+                z = _resample(tau_nodes, y_vals, grid.a, grid.n_sub)
+                on_z = _Along(L, z, o, "check_invariance")
+                transformed = float(np.trapezoid(on_z.at("eval"), dx=z.grid.h))
+            else:
+                k_factor = dilation_factor(g, s, grid.nodes)
+                times = _time_map(g, s, grid.nodes)
+                scaled = along.left(y_vals) * k_factor ** (-o.alpha)
+                series = _node_series(L, "eval", times, y_vals, scaled) * k_factor
+                transformed = float(np.trapezoid(series, dx=grid.h))
+            gap = abs(transformed - reference) / (abs(reference) + 1.0)
+            worst = np.maximum(worst, gap)
 
     mode = "fixed base point" if fixed_base else "transformed base point"
     context = f"{mode}; reference action {reference:.6g}; alpha = {o.alpha:g}"

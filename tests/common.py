@@ -1,4 +1,5 @@
-"""Solver trajectories and a Lagrangian shared by several test modules."""
+"""Solver trajectories, a Lagrangian and apply counters shared by several
+test modules."""
 
 import numpy as np
 
@@ -43,3 +44,32 @@ def quadratic_lagrangian(dim=2):
         d_x=lambda t, x, v: x,
         d_v=lambda t, x, v: v,
     )
+
+
+def count_left_applies(monkeypatch):
+    """Record the argument of every D_a+ apply, in either convention."""
+    calls = []
+
+    def counting(op):
+        def counted(grid, o, y):
+            calls.append(y)
+            return op(grid, o, y)
+
+        return counted
+
+    for name, op in list(LG._LEFT_OPS.items()):
+        monkeypatch.setitem(LG._LEFT_OPS, name, counting(op))
+    return calls
+
+
+def count_right_applies(monkeypatch):
+    """Record the argument of every D_b- apply that ``lagrangian`` takes."""
+    calls = []
+    op = LG.rl_right
+
+    def counted(grid, o, y):
+        calls.append(y)
+        return op(grid, o, y)
+
+    monkeypatch.setattr(LG, "rl_right", counted)
+    return calls

@@ -701,12 +701,51 @@ class TestExitCodes:
                 "numerical failure: fractional derivative of order 0.5 overflows\n",
             )
             for command, b in (("solve", "1e-300"), ("noether", "1e-200"))
+        ]
+        + [
+            # at alpha = 1 the system's assembly overflows; GMRES then fails
+            (
+                "solve",
+                "problem = harmonic2d\nalphas = 1\nn_sub = 20\ninterval = 0, 1e200\n",
+                2,
+                "numerical failure: assembled system is numerically singular "
+                "(condition estimate 1.000e+00); GMRES produced non-finite values\n",
+            ),
+            # the Lagrangian overflows where it is sampled, before D_a+ of xdot does
+            (
+                "noether",
+                "problem = harmonic2d\nalphas = 1\nn_sub = 20\ninterval = 0, 1e-250\n",
+                2,
+                "numerical failure: fractional derivative of order 1 overflows\n",
+            ),
+        ]
+        + [
+            # the example2 powers and the running integral overflow; the
+            # overflowed nodes are masked and the checks fail
+            (
+                command,
+                "problem = example2\nalphas = 0.5\nn_sub = 20\ninterval = 0, 1e120\n",
+                code,
+                err,
+            )
+            for command, code, err in (
+                (
+                    "noether",
+                    1,
+                    "config error: alpha = 0.5: drift needs at least 2 defined nodes, got 1\n",
+                ),
+                ("check", 3, "checks failed: localization, invariance\n"),
+            )
         ],
         ids=[
             "example2-b-squared-overflows-noether",
             "example2-b-squared-overflows-check",
             "harmonic2d-derivative-overflows-solve",
             "harmonic2d-derivative-overflows-noether",
+            "harmonic2d-assembly-overflows-solve",
+            "harmonic2d-lagrangian-overflows-noether",
+            "example2-powers-overflow-noether",
+            "example2-powers-overflow-check",
         ],
     )
     def test_extreme_interval_exits_with_one_line(self, tmp_path, capsys, command, text, code, err):
@@ -714,8 +753,9 @@ class TestExitCodes:
         cfg = write_config(tmp_path, text)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
         assert capsys.readouterr().err == err
-        # a failing run writes nothing, not even the output directory
-        assert not (tmp_path / "o").exists()
+        # a run that fails (exit 1 or 2) writes nothing, not even the output
+        # directory; a failed check (exit 3) writes its checks.csv
+        assert (tmp_path / "o").exists() == (code == 3)
 
     def test_time_map_that_merges_nodes_is_named(self, tmp_path, capsys):
         # e^s (t - 1e300) + 1e300 is increasing, but in floating point it

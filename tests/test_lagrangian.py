@@ -11,7 +11,7 @@ from fracnoether import fracops as F
 from fracnoether import lagrangian as Lmod
 from fracnoether import presets as PR
 
-from common import quadratic_lagrangian
+from common import count_left_applies, quadratic_lagrangian
 
 # classical BVP x'' = x, x(0)=1, x(1)=2: x = C1 e^t + C2 e^{-t}
 C1 = 0.6944004854896559
@@ -20,22 +20,6 @@ C2 = 0.3055995145103441
 
 def classical_solution(nodes):
     return C1 * np.exp(nodes) + C2 * np.exp(-nodes)
-
-
-def count_left_applies(monkeypatch):
-    """Record the argument of every D_a+ apply, in either convention."""
-    calls = []
-
-    def counting(op):
-        def counted(grid, o, y):
-            calls.append(y)
-            return op(grid, o, y)
-
-        return counted
-
-    for name, op in list(Lmod._LEFT_OPS.items()):
-        monkeypatch.setitem(Lmod._LEFT_OPS, name, counting(op))
-    return calls
 
 
 class TestMakeLagrangian:

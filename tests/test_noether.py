@@ -638,6 +638,22 @@ class TestMaskedIntegrand:
         q = NO.noether_quantity(L, SY.time_translation(), x, 0.5, convention="rl")
         assert np.all(q.mask[1:-1])
 
+    def test_running_integral_that_overflows_masks_its_node(self):
+        # at alpha = 1 on x = t^2 the integrand is -p D[xdot] = -1.2e308 at
+        # every node: finite, but the sum of two overflows in the first
+        # trapezoid panel, so every node after node 0 is undefined
+        grid = F.make_grid(0.0, 1.0, 20)
+        x = F.make_trajectory(grid, grid.nodes**2)
+        L = LG.make_lagrangian(
+            1,
+            eval=lambda t, x, v: 0.0 * v[..., 0],
+            d_t=lambda t, x, v: 0.0,
+            d_x=lambda t, x, v: np.zeros_like(x),
+            d_v=lambda t, x, v: np.full_like(v, 6e307),
+        )
+        q = NO.autonomous_quantity(L, x, 1.0)
+        assert np.flatnonzero(q.mask).tolist() == [0]
+
 
 class TestSinglePath:
     # every series takes D_b- of the momentum through _Along.right_of_momentum,

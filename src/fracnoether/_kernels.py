@@ -22,7 +22,8 @@ applies use that layout:
   2^i 3^j 5^k >= 2N - 1 (``_fft_length``): 6400 at N = 3200, where the
   next power of two is 8192.
 * ``causal_convolve`` applies the L1 derivative's profile to slopes,
-  exactly causal.
+  exactly causal.  The derivatives call it through ``profile_convolve``,
+  which keeps the last ``_KEPT`` results per profile: the one reuse point.
 
 ``causal_convolve`` computes out[k] = sum_{i<=k} b[k-i]*s[i], at every
 size by one blocked scheme after Hairer, Lubich & Schlichte (SIAM J. Sci.
@@ -53,11 +54,12 @@ __all__ = [
 
 # blocks of this many nodes are applied directly, longer spans by FFT
 LEAF = 64
+_KEPT = 4  # convolution results kept per profile, the oldest dropped first
 
 
 @functools.lru_cache(maxsize=4)
 def _profile(n, h, expo, gamma):
-    """The profile and its ``causal_convolve`` blocks, filled on first use.
+    """The profile and its ``causal_convolve`` blocks and results, filled on first use.
     One order on one grid uses the L1 (1-alpha) and integral (alpha)
     profiles; the chain-rule check adds the L1 profile of its new grid."""
     # libm pow per node: np.power is not bit-equal to it
@@ -77,9 +79,17 @@ def weight_profile(n, h, expo, gamma):
 
 def profile_convolve(n, h, expo, gamma, s):
     """``causal_convolve`` of ``weight_profile(n, h, expo, gamma)`` with
-    ``s``, reusing the profile's convolution blocks across calls."""
+    ``s``, reusing across calls the profile's convolution blocks and its
+    last ``_KEPT`` results, read-only and keyed by the shape and bytes of s."""
     w, blocks = _profile(n, h, expo, gamma)
-    return causal_convolve(w, s, blocks)
+    key, kept = (s.shape, s.tobytes()), blocks.get("results", ())
+    out = dict(kept).get(key)
+    if out is None:
+        out = causal_convolve(w, s, blocks)
+        out.setflags(write=False)
+        # one tuple, replaced whole: a concurrent call can at worst drop an entry
+        blocks["results"] = (*kept, (key, out))[-_KEPT:]
+    return out
 
 
 def _near_block(b):

@@ -244,12 +244,13 @@ def cmd_check(config: RunConfig) -> int:
     probe = _probe_trajectory(x.grid, config.dim)
 
     composition = F.check_composition(x.grid, alpha, probe)
+    residuals = (composition.caputo_residual, composition.rl_residual)
+    if not np.all(np.isfinite(residuals)):
+        # a NaN tolerance would fail every check it is compared against
+        raise SV.NumericalFailure(f"composition residual at alpha = {alpha:g} is not finite")
     # floor keeps interpolation rounding from failing structurally
     # commuting groups when the composition residual is itself exact
-    tol_discrete = max(
-        10.0 * max(composition.caputo_residual, composition.rl_residual),
-        1e-9,
-    )
+    tol_discrete = max(10.0 * max(residuals), 1e-9)
     try:
         reports = [
             ("group_law", SY.check_group_law(group, tol=DEFAULT_GROUP_TOLERANCE)),

@@ -20,13 +20,13 @@ Quadrature conventions
   integrated exactly.  ``alpha = 1`` falls back to second-order finite
   differences (central in the interior, one-sided at the ends).  The
   derivatives evaluate in slope form: the memoized L1 weight profile is
-  convolved with the difference quotients by ``_kernels.causal_convolve``,
-  all components at once, in O(N) memory: at every N one near-field
-  product on 64-node blocks plus FFT far-field blocks of doubling size,
-  O(N log^2 N).  It is exactly causal (a node's value depends only on the
-  values at or before it, bit for bit) and maps constants to exactly zero;
-  the dense L1 matrix ``_kernels.l1_weights`` is kept as the test oracle
-  and agrees with the slope form to rounding.
+  convolved with the difference quotients by ``_kernels.profile_convolve``
+  (equal slopes once), all components at once, in O(N) memory: at every
+  N one near-field product on 64-node blocks plus FFT far-field blocks
+  of doubling size, O(N log^2 N).  It is exactly causal (a node's value
+  depends only on the values at or before it, bit for bit) and maps
+  constants to exactly zero; the dense L1 matrix ``_kernels.l1_weights``
+  is kept as the test oracle and agrees with the slope form to rounding.
 * Right-sided operators are mirror images of the left-sided ones: the right
   integral matrix is a view of the left one flipped in both indices (one
   fill, no copy), and a right derivative is the left derivative of the
@@ -224,7 +224,8 @@ def _derivative(grid: Grid, alpha, x: Trajectory, rl: bool, right: bool) -> Traj
             defined = np.logical_and.accumulate(mask)  # node k reads nodes 0..k
             if rl:
                 corr = (np.arange(1, grid.n_nodes) * h) ** (-o.alpha) / math.gamma(1.0 - o.alpha)
-                out[1:] += corr[:, None] * vals[0]
+                # a new array: ``out`` is the convolution's kept, read-only result
+                out = np.concatenate([out[:1], out[1:] + corr[:, None] * vals[0]])
                 defined[0] = False
     try:
         return make_trajectory(grid, out[order], mask=defined[order])

@@ -12,10 +12,11 @@ Every Lagrangian series along a trajectory, here and in ``noether`` and
 ``symmetry``, comes from ``_Along``: it refuses a partly masked trajectory
 before any apply, takes D_a+ x, each partial and the package's one D_b-
 outside ``fracops`` (of the momentum dL/dv) once per (L, x, alpha,
-convention), and names the operators its own call took.  The ingredients
-live in the most recent ``_Context``, one module-level slot shared by all
-public calls: a call on the same L and x objects at an equal order and
-convention reads them, any other call replaces them.
+convention), applies D_a+ to further series per call (``fracops`` keeps
+their convolutions), and names the operators its own call took.  Those
+ingredients live in the most recent ``_Context``, one module-level slot
+shared by all public calls: a call on the same L and x objects at an
+equal order and convention reads them, any other call replaces them.
 ``_operators`` spells the operators of every context and CSV header.
 
 Evaluator contract: each evaluator is called once per series on node
@@ -227,9 +228,6 @@ def _node_series(L: LagrangianSpec, name: str, times, xvals, vvals):
 
 _LEFT_OPS = {"caputo": caputo_left, "rl": rl_left}
 _DEFAULT_CONVENTION = "caputo"
-# D_a+ results of further series one context keeps, the oldest dropped
-# first: a check looping over many space maps cannot grow it
-_LEFT_KEPT = 4
 
 
 def _operators(convention: str, right: bool) -> str:
@@ -240,29 +238,13 @@ def _operators(convention: str, right: bool) -> str:
 class _Context:
     """The ingredients of one (L, x, alpha, convention), each taken at most
     once and stored read-only: D_a+ x on construction, then on demand the
-    sampled partials, D_b- of the momentum, and D_a+ of up to
-    ``_LEFT_KEPT`` further series, keyed by their bytes."""
+    sampled partials and D_b- of the momentum."""
 
     def __init__(self, L, x, o, convention):
         self.L, self.x, self.o, self.convention = L, x, o, convention
         self._op = _LEFT_OPS[convention]
         self.dxa = self._op(x.grid, o, x).values
-        self._partials, self._lefts, self._right = {}, (), None
-
-    def left(self, values: np.ndarray) -> np.ndarray:
-        if not np.any(values):
-            return np.where(np.isnan(self.dxa), np.nan, 0.0)
-        if np.array_equal(values, self.x.values):
-            return self.dxa
-        arr = np.asarray(values, dtype=float)
-        key = (arr.shape, arr.tobytes())
-        for kept, out in self._lefts:
-            if kept == key:
-                return out
-        out = self._op(self.x.grid, self.o, make_trajectory(self.x.grid, arr)).values
-        # one tuple, replaced whole: a concurrent call can at worst drop an entry
-        self._lefts = (*self._lefts, (key, out))[-_LEFT_KEPT:]
-        return out
+        self._partials, self._right = {}, None
 
     def at(self, name: str) -> np.ndarray:
         out = self._partials.get(name)
@@ -323,8 +305,10 @@ class _Along:
     def left(self, values: np.ndarray) -> np.ndarray:
         """D_a+ of a further node series, in the convention of D_a+ x.  An
         all-zero series skips the apply: both conventions map it to +0.0,
-        NaN where D_a+ x is undefined; x itself returns D_a+ x."""
-        return self._ctx.left(values)
+        NaN where D_a+ x is undefined."""
+        if not np.any(values):
+            return np.where(np.isnan(self.dxa), np.nan, 0.0)
+        return self._ctx._op(self.grid, self.o, make_trajectory(self.grid, values)).values
 
     def at(self, name: str) -> np.ndarray:
         """The Lagrangian's ``name`` evaluator at (t, x, D_a+ x)."""

@@ -16,10 +16,11 @@ translation (the oscillator's with its stock Lagrangian), and the two
 residual series draw on the same ingredients.  Those come from
 ``lagrangian._Along``, the package's one evaluation of a Lagrangian along
 a trajectory: it checks the arguments before any apply; takes D_a+ x,
-D_a+ of further series (none for an all-zero series), each partial and
-D_b- of the momentum dL/dv once per (L, x, alpha, convention), so that
-quantities and residuals on one trajectory share them; computes the Jost
-w-partial L - f D_a+ x . dL/dv; and names the operators each call took.
+each partial and D_b- of the momentum dL/dv once per (L, x, alpha,
+convention), shared by quantities and residuals on one trajectory;
+applies D_a+ to further series (none if all zero), whose convolutions
+``fracops`` keeps; computes the Jost w-partial L - f D_a+ x . dL/dv;
+and names the operators each call took.
 This module applies and names no operator itself.
 
 Conventions (each series' ``context`` names D_b- exactly when one ran):

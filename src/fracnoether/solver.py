@@ -30,8 +30,9 @@ with the Toeplitz symbol, of length the smallest 2^i 3^j 5^k >= 2N - 1
 system's ``apply`` and ``precondition``, a circulant stand-in for I - kappa*K
 that one FFT pair inverts.  It stops at a normwise backward error of TOL
 and raises NumericalFailure when the solution is not finite, when GMRES
-misses TOL within MAX_ITERATIONS steps, or when the relative residual
-||b - A x|| / ||b|| exceeds RESIDUAL_MAX.  The last gate
+misses TOL within MAX_ITERATIONS steps (or sooner, once a restart cycle
+leaves x bitwise unchanged and so would every later one), or when the
+relative residual ||b - A x|| / ||b|| exceeds RESIDUAL_MAX.  The last gate
 is the one a nearly singular system trips: its solution is huge, so the
 backward error is tiny while the residual is of the size of the data.
 The condition estimate ||A|| ||x|| / ||b|| (with a lower bound on ||A||)
@@ -251,8 +252,9 @@ def _gmres(apply, precondition, b: np.ndarray, x: np.ndarray, anorm: float):
     A P^-1, reducing the Hessenberg by Givens rotations as it grows, and
     ends early once the rotated residual meets the target; after every
     cycle the true residual decides.  GMRES stops once
-    ||b - A x|| <= TOL * (anorm ||x|| + ||b||), anorm <= ||A||, or after
-    MAX_ITERATIONS steps.  Returns x, the residual and the steps taken.
+    ||b - A x|| <= TOL * (anorm ||x|| + ||b||), anorm <= ||A||, after
+    MAX_ITERATIONS steps, or after a cycle that leaves x bitwise unchanged.
+    Returns x, the residual and the steps taken.
     """
     n = b.shape[0]
     bnorm = np.max(np.abs(b))
@@ -295,7 +297,11 @@ def _gmres(apply, precondition, b: np.ndarray, x: np.ndarray, anorm: float):
             if not abs(g[j + 1]) > target:
                 break
         y = solve_triangular(hess[: j + 1, : j + 1], g[: j + 1], check_finite=False)
-        x = x + precondition(y @ v[: j + 1])
+        moved = x + precondition(y @ v[: j + 1])
+        if moved.tobytes() == x.tobytes():
+            # r is unchanged too, so every later cycle would repeat this one
+            return x, r, steps
+        x = moved
         r = b - apply(x)
 
 
@@ -309,7 +315,8 @@ def solve(problem: LinearProblem) -> SolveReport:
     """Solve by preconditioned restarted GMRES per component.
 
     Raises NumericalFailure when the solution is not finite, when GMRES
-    misses its backward-error target TOL within MAX_ITERATIONS steps, or
+    misses its backward-error target TOL within MAX_ITERATIONS steps or
+    stops on a restart cycle that leaves x unchanged, or
     when the relative residual ||b - A x|| / ||b|| exceeds RESIDUAL_MAX.
     """
     # a system that overflows gives non-finite GMRES output, which raises below

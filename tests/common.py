@@ -3,6 +3,7 @@ test modules."""
 
 import numpy as np
 
+import fracnoether._kernels as K
 import fracnoether.fracops as F
 import fracnoether.lagrangian as LG
 import fracnoether.solver as SV
@@ -72,4 +73,20 @@ def count_right_applies(monkeypatch):
         return op(grid, o, y)
 
     monkeypatch.setattr(LG, "rl_right", counted)
+    return calls
+
+
+def count_convolutions(monkeypatch):
+    """Record the slopes and the profile's blocks of every L1 convolution
+    that ``_kernels`` computes (not those it returns kept).  Every profile,
+    with its kept results, is dropped first, so the count starts from none."""
+    calls = []
+    op = K.causal_convolve
+
+    def counted(b, s, blocks):
+        calls.append((s.copy(), blocks))
+        return op(b, s, blocks)
+
+    K._profile.cache_clear()
+    monkeypatch.setattr(K, "causal_convolve", counted)
     return calls

@@ -736,6 +736,24 @@ class TestExitCodes:
                 ),
                 ("check", 3, "checks failed: localization, invariance\n"),
             )
+        ]
+        + [
+            # the composition residual, and with it the tolerance, is NaN
+            (
+                "check",
+                "problem = example2\nalphas = 0.5\nn_sub = 20\ninterval = 0, 1e154\n",
+                2,
+                "numerical failure: composition residual at alpha = 0.5 is not finite\n",
+            ),
+            # the system's data overflow; a GMRES cycle leaves x = 0
+            (
+                "solve",
+                "problem = oscillator\nomega = 1\nalphas = 0.5\nn_sub = 20\ninterval = 0, 1e200\n",
+                2,
+                "numerical failure: assembled system is numerically singular "
+                "(condition estimate 1.000e+00); GMRES backward error 1.0e+00 above 1e-14 "
+                "after 21 iterations\n",
+            ),
         ],
         ids=[
             "example2-b-squared-overflows-noether",
@@ -746,6 +764,8 @@ class TestExitCodes:
             "harmonic2d-lagrangian-overflows-noether",
             "example2-powers-overflow-noether",
             "example2-powers-overflow-check",
+            "example2-composition-overflows-check",
+            "oscillator-data-overflow-solve",
         ],
     )
     def test_extreme_interval_exits_with_one_line(self, tmp_path, capsys, command, text, code, err):

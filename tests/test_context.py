@@ -3,6 +3,7 @@ public series and check: sharing changes no value, mask or context, each
 ingredient is taken once, and one context is alive at a time."""
 
 import math
+import pathlib
 import random
 import sys
 import threading
@@ -11,16 +12,18 @@ import weakref
 import numpy as np
 import pytest
 
+from fracnoether import _kernels, cli
 from fracnoether import fracops as F
 from fracnoether import lagrangian as LG
 from fracnoether import noether as NO
 from fracnoether import presets as PR
 from fracnoether import symmetry as SY
 
-from common import count_left_applies, count_right_applies
+from common import count_convolutions, count_right_applies
 
 ALPHA = 0.6
 N_SUB = 48
+PRESETS = pathlib.Path(__file__).resolve().parents[1] / "presets"
 
 
 def _rotation_and_translation():
@@ -133,45 +136,56 @@ class TestSharingChangesNothing:
 
 class TestLeftMap:
     def test_equal_bytes_hit_and_one_ulp_misses(self, monkeypatch):
-        calls = count_left_applies(monkeypatch)
+        calls = count_convolutions(monkeypatch)
         L, (x, _) = _lagrangian(), _paths()
         along = LG._Along(L, x, ALPHA, "test")
         y = np.cos(np.outer(x.grid.nodes, [1.0, 2.0]))
         first = along.left(y)
         assert len(calls) == 2  # D_a+ x, then D_a+ y
-        # equal bytes in another array, seen through another view
+        # equal bytes in another array, seen through another view, x itself,
+        # and y in the other convention: no new convolution
         again = LG._Along(L, x, ALPHA, "test").left(y.copy())
-        assert again is first and len(calls) == 2
+        assert again.tobytes() == first.tobytes()
+        assert along.left(x.values.copy()).tobytes() == along.dxa.tobytes()
+        LG._Along(L, x, ALPHA, "test", "rl").left(y.copy())
+        assert len(calls) == 2
         bumped = y.copy()
         bumped[7, 1] = np.nextafter(bumped[7, 1], math.inf)
         other = along.left(bumped)
         assert len(calls) == 3
+        # on a fresh profile, with fresh blocks, the same bits
+        _kernels._profile.cache_clear()
         applied = F.caputo_left(x.grid, ALPHA, F.make_trajectory(x.grid, bumped))
+        assert len(calls) == 4
         assert other.tobytes() == applied.values.tobytes()
 
     def test_many_series_keep_a_bounded_map(self, monkeypatch):
-        calls = count_left_applies(monkeypatch)
+        calls = count_convolutions(monkeypatch)
         L, (x, _) = _lagrangian(), _paths()
         along = LG._Along(L, x, ALPHA, "test")
         series = [np.cos(np.outer(x.grid.nodes, [1.0, k])) for k in range(2, 22)]
         for y in series:
             along.left(y)
-        assert len(along._ctx._lefts) == LG._LEFT_KEPT
+        # the blocks of the L1 profile, as the last convolution saw them
+        assert len(calls[-1][1]["results"]) == _kernels._KEPT
         # the newest series are kept, the oldest recomputed bit for bit
         along.left(series[-1])
         assert len(calls) == 1 + len(series)
         old = along.left(series[0])
         assert len(calls) == 2 + len(series)
+        _kernels._profile.cache_clear()
         applied = F.caputo_left(x.grid, ALPHA, F.make_trajectory(x.grid, series[0]))
         assert old.tobytes() == applied.values.tobytes()
 
-    def test_cached_ingredients_are_read_only(self):
+    def test_cached_ingredients_are_read_only(self, monkeypatch):
+        calls = count_convolutions(monkeypatch)
         L, (x, u) = _lagrangian(), _paths()
         for call in _calls("caputo").values():
             call(L, x, u)
         ctx = LG._Along(L, x, ALPHA, "test")._ctx
-        cached = [ctx.dxa, ctx._right, *ctx._partials.values(), *(out for _, out in ctx._lefts)]
-        assert len(ctx._partials) == 4 and ctx._lefts
+        kept = [out for _, blocks in calls for _, out in blocks["results"]]
+        cached = [ctx.dxa, ctx._right, *ctx._partials.values(), *kept]
+        assert len(ctx._partials) == 4 and len(kept) >= _kernels._KEPT
         for arr in cached:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -198,7 +212,7 @@ class TestApplyBudget:
     def test_analysis_battery_takes_each_ingredient_once(self, monkeypatch):
         # the analysis-3200 job at a small grid: example2 under the
         # dilation, then the harmonic closed form at alpha = 1
-        lefts = count_left_applies(monkeypatch)
+        convolutions = count_convolutions(monkeypatch)
         rights = count_right_applies(monkeypatch)
         evaluations = {}
         grid = F.make_grid(0.0, 1.0, 64)
@@ -211,9 +225,14 @@ class TestApplyBudget:
         F.check_composition(grid, ALPHA, q)
         SY.check_chain_rule(g, q, ALPHA, 0.5)
         SY.check_invariance(L, g, q, ALPHA)
+        # D_a+ q, D_b- p and D_a+ qdot on the grid, then D_a+ on the chain
+        # rule's dilated grid: the composition check, the chain rule's
+        # original-grid side and the invariance samples reuse D_a+ q
         qdot = np.gradient(q.values, grid.h, axis=0, edge_order=2)
-        assert len(lefts) == 2 and lefts[0] is q
-        assert lefts[1].values.tobytes() == qdot.tobytes()
+        slopes = [s.tobytes() for s, _ in convolutions]
+        assert len(slopes) == 4
+        assert slopes[0] == (np.diff(q.values, axis=0) / grid.h).tobytes()
+        assert slopes[2] == (np.diff(qdot, axis=0) / grid.h).tobytes()
         assert len(rights) == 1
 
         xh = F.make_trajectory(grid, np.column_stack([np.cosh(grid.nodes), np.sinh(grid.nodes)]))
@@ -223,7 +242,8 @@ class TestApplyBudget:
         NO.autonomous_quantity(Lh, xh, 1.0)
         NO.weak_theorem_residual(Lh, tt, xh, 1.0)
         LG.el_residual(Lh, xh, 1.0)
-        assert len(lefts) == 4 and lefts[2] is xh
+        # alpha = 1 takes finite differences, no convolution
+        assert len(convolutions) == 4
         assert len(rights) == 2
 
         # each evaluator once per series: the four partials along q and
@@ -231,6 +251,21 @@ class TestApplyBudget:
         assert set(evaluations.values()) == {1}
         names = sorted(key[0] for key in evaluations)
         assert names == ["d_t"] * 2 + ["d_v"] * 2 + ["d_x"] * 2 + ["eval"] * 6
+
+    def test_composition_check_convolves_once(self, monkeypatch):
+        # the Caputo and RL derivatives of x share their slopes
+        convolutions = count_convolutions(monkeypatch)
+        x, _ = _paths()
+        F.check_composition(x.grid, ALPHA, x)
+        assert len(convolutions) == 1
+
+    def test_check_command_on_example2_convolves_twice(self, monkeypatch, tmp_path):
+        # the probe (t, t^2), which is also the preset trajectory, and the
+        # chain rule's resampled probe on the dilated grid
+        convolutions = count_convolutions(monkeypatch)
+        config = str(PRESETS / "example2.cfg")
+        assert cli.main(["check", "--config", config, "--out", str(tmp_path / "o")]) == 0
+        assert len(convolutions) == 2
 
 
 class TestOneSlot:

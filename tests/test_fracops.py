@@ -502,6 +502,8 @@ class TestBlockedConvolution:
             return [op(g, alpha, x).values for op in ops]
 
         blocked = run()
+        # drop the kept results, so the oracle computes every convolution
+        _kernels._profile.cache_clear()
         monkeypatch.setattr(_kernels, "causal_convolve", lambda b, s, blocks: _direct_convolve(b, s))
         for got, ref in zip(blocked, run()):
             defined = np.isfinite(ref)
@@ -551,6 +553,9 @@ class TestBlockedConvolution:
             x = F.make_trajectory(g, np.column_stack([g.nodes**2, np.cos(g.nodes)]))
 
             def run():
+                # drop the kept results: the convolutions run again on the kept blocks
+                l1 = _kernels._profile(g.n_nodes, g.h, 1.0 - 0.6, math.gamma(2.0 - 0.6))
+                l1[1].pop("results", None)
                 rep = F.check_composition(g, 0.6, x)
                 d = F.rl_right(g, 0.6, x).values
                 return rep.caputo_residual.hex(), rep.rl_residual.hex(), [v.hex() for v in d.ravel()]
@@ -566,6 +571,21 @@ class TestWeightProfileMemo:
         assert _kernels.weight_profile(50, 0.02, 0.5, math.gamma(1.5)) is w
         with pytest.raises(ValueError):
             w[1] = 0.0
+
+    def test_kept_results_are_keyed_by_shape(self):
+        # equal bytes in another shape are another input
+        args, s = (5, 0.25, 0.5, math.gamma(1.5)), np.arange(1.0, 9.0)
+        assert _kernels.profile_convolve(*args, s.reshape(4, 2)).shape == (5, 2)
+        assert _kernels.profile_convolve(*args, s.reshape(2, 4)).shape == (5, 4)
+
+    def test_rl_correction_leaves_the_kept_convolution(self):
+        # the RL derivative reads the convolution the Caputo one keeps
+        g = grid01(N_PRESET)
+        x = F.make_trajectory(g, np.column_stack([g.nodes**2, np.sin(g.nodes)]))
+        _kernels._profile.cache_clear()
+        caputo = F.caputo_left(g, 0.4, x).values.tobytes()
+        F.rl_left(g, 0.4, x)
+        assert F.caputo_left(g, 0.4, x).values.tobytes() == caputo
 
     def test_one_build_per_order_and_grid(self):
         # every operator at one order on one grid shares two profiles: the

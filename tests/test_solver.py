@@ -588,6 +588,24 @@ class TestNumericalFailure:
         with pytest.raises(S.NumericalFailure, match="condition estimate .*after 2 iterations"):
             S.solve(harmonic_problem(64, 0.5))
 
+    @pytest.mark.parametrize("a, b", [(0.0, 1e200), (1e300, 1.0000000001e300)])
+    def test_cycle_that_leaves_x_unchanged_stops(self, a, b):
+        # the oscillator's data overflow and the first cycle, 21 steps on
+        # the 21 nodes, leaves x = 0: every later cycle would repeat it
+        p = S.LinearProblem(
+            grid=F.make_grid(a, b, 20),
+            alpha=0.5,
+            dim=1,
+            kappa=-1.0,
+            bc=S.initial(np.array([0.0]), np.array([1.0])),
+        )
+        message = (
+            r"condition estimate 1\.000e\+00\); "
+            r"GMRES backward error 1\.0e\+00 above 1e-14 after 21 iterations$"
+        )
+        with pytest.raises(S.NumericalFailure, match=message):
+            S.solve(p)
+
     def test_non_finite_solution_raises(self, monkeypatch):
         monkeypatch.setattr(S.AssembledSystem, "precondition", lambda self, v: v * np.nan)
         with pytest.raises(S.NumericalFailure, match="non-finite"):

@@ -11,7 +11,7 @@ from fracnoether import lagrangian as Lmod
 from fracnoether import presets as P
 from fracnoether import symmetry as G
 
-from common import quadratic_lagrangian
+from common import count_convolutions, quadratic_lagrangian
 
 # analytic value of both chain-rule sides for the dilation group with
 # c = 1 at s = 0.3, alpha = 0.5, x = t^2, evaluated at t = 0.6:
@@ -373,26 +373,19 @@ class TestInvariance:
         )
 
     @pytest.mark.parametrize(
-        "group, applies",
+        "group, convolutions",
         [(G.time_translation(), 1), (G.dilation(0.5), 1), (G.space_rotation(), 5)],
         ids=["translation", "dilation", "rotation"],
     )
     def test_identity_space_map_reuses_the_left_derivative_of_x(
-        self, group, applies, monkeypatch
+        self, group, convolutions, monkeypatch
     ):
-        # a space map that leaves x unchanged needs no apply per s sample:
-        # D_a+ of x is the one taken for the reference action
-        calls = []
-        op = Lmod._LEFT_OPS["caputo"]
-
-        def counted(grid, o, y):
-            calls.append(y)
-            return op(grid, o, y)
-
-        monkeypatch.setitem(Lmod._LEFT_OPS, "caputo", counted)
+        # a space map that leaves x unchanged needs no convolution per s
+        # sample: D_a+ of x is the one taken for the reference action
+        calls = count_convolutions(monkeypatch)
         _, traj = smooth_trajectory()
         G.check_invariance(quadratic_lagrangian(), group, traj, 0.5)
-        assert len(calls) == applies
+        assert len(calls) == convolutions
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0])
     def test_left_of_x_is_bit_identical_to_an_apply(self, alpha):

@@ -12,8 +12,12 @@ Only left-sided weight matrices are built here.  The right-sided operators
 are exactly the left ones flipped in both indices (the kernels mirror under
 s -> a + b - s).  Each is column 0 plus a lower-triangular Toeplitz
 symbol, filled by ``_lower_toeplitz`` (which writes the lower triangle
-only, over a zeroed array) and read back by ``LowerToeplitz`` only.  Two
-applies use that layout:
+only, over a zeroed array) and read back by ``LowerToeplitz`` only.  Most
+of a fill's cost is the kernel zeroing the fresh pages as they are first
+written, not the copy.  So from ``_TWO_THREAD_ROWS`` rows on the caller
+fills ``LEAF``-row blocks from the top and one short-lived helper thread
+from the bottom, until they meet, and both cores fault pages; smaller
+fills, such as N = 200, stay on the caller.  Two applies use that layout:
 
 * ``LowerToeplitz`` applies a weight matrix: column 0 times the node-0
   value plus one zero-padded real FFT pair with the symbol, causal to
@@ -40,6 +44,7 @@ thread and uses no BLAS.
 import functools
 import itertools
 import math
+import threading
 
 import numpy as np
 
@@ -55,6 +60,8 @@ __all__ = [
 # blocks of this many nodes are applied directly, longer spans by FFT
 LEAF = 64
 _KEPT = 4  # convolution results kept per profile, the oldest dropped first
+# fills of at least this many rows use a helper thread (``_lower_toeplitz``)
+_TWO_THREAD_ROWS = 1601
 
 
 @functools.lru_cache(maxsize=4)
@@ -137,20 +144,69 @@ def causal_convolve(b, s, blocks):
     return out[:, :n].T
 
 
+def _copy_block(out, windows, b):
+    """Rows b*``LEAF`` .. r1-1 of the lower triangle: columns 0..r1-1 from
+    the windows of the same rows."""
+    r0 = b * LEAF
+    r1 = min(r0 + LEAF, out.shape[0])
+    out[r0:r1, :r1] = windows[r0:r1, :r1]
+
+
 def _lower_toeplitz(column0, symbol):
     """The n x n matrix with ``column0`` (length n) in column 0,
     symbol[k - j] (symbol of length n - 1) at row k, column j for
     1 <= j <= k, and zeros above the diagonal.  Only the lower triangle is
     written: rows r0..r1-1 (``LEAF`` at a time) take columns 0..r1-1 from
     windows of the reversed, zero-padded symbol, and the rest stays the
-    zeros of the fresh array.  ``LowerToeplitz`` reads it back."""
+    zeros of the fresh array.  ``LowerToeplitz`` reads it back.
+
+    From ``_TWO_THREAD_ROWS`` rows on, one helper thread shares the copy.
+    Most of its cost is the kernel zeroing the fresh pages on first write,
+    not the copy itself, and that then runs on both cores at once.  The
+    caller claims blocks from the top and the helper from the bottom, one
+    at a time under a lock, until they meet: the two fault pages far
+    apart, and a caller whose helper never runs fills every block itself.
+    A block gets the same slice whichever thread copies it, so the bytes
+    do not depend on the split.  The helper is joined before return, and
+    an exception raised in it is raised again here."""
     n = column0.shape[0]
     padded = np.concatenate([[0.0], symbol[::-1], np.zeros(n - 1)])
     windows = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
     out = np.zeros((n, n))
-    for r0 in range(0, n, LEAF):
-        r1 = min(r0 + LEAF, n)
-        out[r0:r1, :r1] = windows[r0:r1, :r1]
+    lock = threading.Lock()
+    ends = [0, -(-n // LEAF)]  # the next block from the top, one past the next from the bottom
+    failures = []
+
+    def fill(top):
+        while True:
+            with lock:
+                if ends[0] >= ends[1]:
+                    return
+                if top:
+                    b = ends[0]
+                    ends[0] += 1
+                else:
+                    ends[1] -= 1
+                    b = ends[1]
+            _copy_block(out, windows, b)
+
+    def helper():
+        try:
+            fill(False)
+        except BaseException as exc:  # raised again by the caller
+            failures.append(exc)
+
+    if n < _TWO_THREAD_ROWS:
+        fill(True)
+    else:
+        thread = threading.Thread(target=helper, name="fracnoether-fill")
+        thread.start()
+        try:
+            fill(True)
+        finally:
+            thread.join()
+        if failures:
+            raise failures[0]
     out[:, 0] = column0
     return out
 

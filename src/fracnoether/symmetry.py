@@ -16,10 +16,12 @@ time map or action that could not be evaluated) becomes the reported
 violation and fails the check.  Exceptions are reserved for unusable
 inputs, e.g. a time map that is not increasing on the interval (so no
 transformed grid exists) or a partially defined trajectory.  The actions
-in ``check_invariance`` are sampled through ``lagrangian._Along``, like
-every other Lagrangian series, so D_a+ x and L along x are taken once per
-(L, x, alpha, convention) and shared with the quantities on the same
-trajectory; only ``check_chain_rule`` applies an operator itself.
+along x in ``check_invariance`` are sampled through ``lagrangian._Along``,
+like every other Lagrangian series, so D_a+ x and L along x are taken once
+per (L, x, alpha, convention) and shared with the quantities on the same
+trajectory.  Only ``check_chain_rule`` and the fixed-base transformed
+actions, each on its own resampled path, apply an operator here, so they
+leave the shared context that of x.
 
 Group closures must be pure functions.
 
@@ -396,12 +398,18 @@ def check_invariance(
                         f"got phi0_s(a) = {tau_nodes[0]:g} for s = {s:g}"
                     )
                 z = _resample(tau_nodes, y_vals, grid.a, grid.n_sub)
-                on_z = _Along(L, z, o, "check_invariance")
-                transformed = float(np.trapezoid(on_z.at("eval"), dx=z.grid.h))
+                # L along z, outside the shared context, which stays that of x
+                dz = caputo_left(z.grid, o, z).values
+                on_z = _node_series(L, "eval", z.grid.nodes, z.values, dz)
+                transformed = float(np.trapezoid(on_z, dx=z.grid.h))
             else:
                 k_factor = dilation_factor(g, s, grid.nodes)
                 times = _time_map(g, s, grid.nodes)
-                scaled = along.left(y_vals) * k_factor ** (-o.alpha)
+                # a space map that leaves x bit for bit (every translation
+                # and dilation) reuses D_a+ x
+                same = y_vals.tobytes() == x.values.tobytes()
+                dy = along.dxa if same else along.left(y_vals)
+                scaled = dy * k_factor ** (-o.alpha)
                 series = _node_series(L, "eval", times, y_vals, scaled) * k_factor
                 transformed = float(np.trapezoid(series, dx=grid.h))
             gap = abs(transformed - reference) / (abs(reference) + 1.0)

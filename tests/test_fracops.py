@@ -2,6 +2,7 @@
 composition rules."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -641,6 +642,12 @@ class TestToeplitzFill:
     )
     # the benchmark size: 3201 rows are 50 full LEAF blocks and one of 1 row
     @example(n=3201, h=1.0 / 3200, alpha=0.57)
+    # the last serial size and the first two-thread sizes: 1600, 1601 and
+    # 1666 rows are 25, 26 and 27 blocks, so the two threads meet after an
+    # even and an odd count (3201 rows are 51)
+    @example(n=_kernels._TWO_THREAD_ROWS - 1, h=0.37, alpha=0.25)
+    @example(n=_kernels._TWO_THREAD_ROWS, h=1.0 / 1600, alpha=0.5)
+    @example(n=_kernels._TWO_THREAD_ROWS + _kernels.LEAF + 1, h=2.0, alpha=0.9)
     def test_fills_match_row_reference_bitwise(self, n, h, alpha):
         ga1 = math.gamma(alpha + 1.0)
         assert _kernels.integral_weights(n, h, alpha, ga1).tobytes() == (
@@ -651,6 +658,57 @@ class TestToeplitzFill:
             assert _kernels.l1_weights(n, h, alpha, g2).tobytes() == (
                 _l1_rows(n, h, alpha, g2).tobytes()
             )
+
+    @pytest.mark.parametrize(
+        "n", (_kernels._TWO_THREAD_ROWS - 1, _kernels._TWO_THREAD_ROWS, 3201)
+    )
+    def test_fill_copies_each_block_once_from_both_ends(self, n, monkeypatch):
+        # the caller takes 0, 1, ... and the helper (if it runs) the rest from
+        # the last block down; below the two-thread size the caller takes all
+        copies = []
+        copy = _kernels._copy_block
+
+        def recorded(out, windows, b):
+            copies.append((threading.current_thread() is threading.main_thread(), b))
+            copy(out, windows, b)
+
+        monkeypatch.setattr(_kernels, "_copy_block", recorded)
+        _kernels._lower_toeplitz(np.ones(n), np.ones(n - 1))
+        blocks = -(-n // _kernels.LEAF)
+        top = [b for by_caller, b in copies if by_caller]
+        bottom = [b for by_caller, b in copies if not by_caller]
+        assert top == list(range(len(top)))
+        assert bottom == list(range(blocks - 1, len(top) - 1, -1))
+        if n < _kernels._TWO_THREAD_ROWS:
+            assert not bottom
+
+    def test_fill_leaves_the_threads_as_it_found_them(self):
+        before = threading.enumerate()
+        n = _kernels._TWO_THREAD_ROWS
+        _kernels.integral_weights(n, 1.0 / (n - 1), 0.5, math.gamma(1.5))
+        assert threading.enumerate() == before
+
+    def test_helper_failure_propagates_and_leaves_no_thread(self, monkeypatch):
+        # the caller waits in its first block until the helper's first block
+        # has failed, so the failure happens whatever the scheduling
+        copy = _kernels._copy_block
+        failed = threading.Event()
+
+        def failing(out, windows, b):
+            if threading.current_thread() is threading.main_thread():
+                assert failed.wait(timeout=30)
+                copy(out, windows, b)
+            else:
+                failed.set()
+                raise RuntimeError(f"injected into block {b}")
+
+        monkeypatch.setattr(_kernels, "_copy_block", failing)
+        before = threading.enumerate()
+        n = 3201
+        last = -(-n // _kernels.LEAF) - 1
+        with pytest.raises(RuntimeError, match=f"injected into block {last}$"):
+            _kernels.integral_weights(n, 1.0 / (n - 1), 0.5, math.gamma(1.5))
+        assert threading.enumerate() == before
 
     @pytest.mark.parametrize("n", (3, 4, 17, 200))
     def test_parts_invert_the_fill(self, n):

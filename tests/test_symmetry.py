@@ -312,6 +312,20 @@ class TestChainRule:
             G.check_chain_rule(G.dilation(1.0), x, 0.5, 0.3, tol=1.0)
 
 
+@pytest.fixture
+def derivatives(monkeypatch):
+    """The trajectory of every fracops derivative apply, in order."""
+    calls = []
+    op = F._derivative
+
+    def counted(grid, alpha, x, rl, right):
+        calls.append(x)
+        return op(grid, alpha, x, rl, right)
+
+    monkeypatch.setattr(F, "_derivative", counted)
+    return calls
+
+
 class TestInvariance:
     def test_autonomous_under_translation_exact(self):
         _, traj = smooth_trajectory()
@@ -387,12 +401,32 @@ class TestInvariance:
         G.check_invariance(quadratic_lagrangian(), group, traj, 0.5)
         assert len(calls) == convolutions
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_identity_space_map_takes_no_apply_per_sample(self, alpha, derivatives):
+        # the one fracops apply is the context's own D_a+ x
+        _, traj = smooth_trajectory()
+        G.check_invariance(quadratic_lagrangian(), G.dilation(-1.0), traj, alpha)
+        assert len(derivatives) == 1
+        assert derivatives[0] is traj
+
+    def test_fixed_base_keeps_the_context_of_x(self, derivatives):
+        # the actions along the resampled paths replace no shared context:
+        # a later call on (L, x) takes no new D_a+ x
+        _, traj = smooth_trajectory()
+        L = quadratic_lagrangian()
+        G.check_invariance(L, G.localized_dilation(0.4, 0.0), traj, 0.6, fixed_base=True)
+        assert len(derivatives) == 5
+        Lmod.action(L, traj, 0.6)
+        assert len(derivatives) == 5
+
     @pytest.mark.parametrize("alpha", [0.3, 1.0])
     def test_left_of_x_is_bit_identical_to_an_apply(self, alpha):
         grid, traj = smooth_trajectory()
         along = Lmod._Along(quadratic_lagrangian(), traj, alpha, "test")
         applied = F.caputo_left(grid, alpha, F.make_trajectory(grid, traj.values.copy()))
         assert along.left(traj.values.copy()).tobytes() == applied.values.tobytes()
+        # so check_invariance may take D_a+ x for an identity space map
+        assert along.dxa.tobytes() == applied.values.tobytes()
 
     def test_fixed_base_rejects_moving_base_point(self):
         _, traj = smooth_trajectory()

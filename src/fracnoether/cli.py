@@ -15,8 +15,10 @@ Commands (``fracnoether <command> --config <path> [--out <dir>]``):
   runs at one order, the first one listed in ``alphas``, which need not
   be the smallest.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 check or conservation failure.  Nothing else is ever returned.
+Exit codes: 0 success, 1 configuration error (a config file that cannot
+be read and an outputs path that cannot be written included), 2
+numerical failure, 3 check or conservation failure.  Nothing else is
+ever returned.
 
 Orders in a sweep run one after another, in ascending order, and their
 files are written in that order.  Values are serialized with 17
@@ -97,6 +99,18 @@ def _write_csv(path, comments, header, rows):
             handle.write(",".join(row) + "\n")
 
 
+def _write_outputs(outputs, files):
+    """Create the directory ``outputs`` and write each of ``files``, a
+    (name, comments, header, rows) tuple, into it; a path that cannot be
+    written is a configuration error."""
+    try:
+        os.makedirs(outputs, exist_ok=True)
+        for name, *content in files:
+            _write_csv(os.path.join(outputs, name), *content)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ConfigError(f"cannot write outputs to {outputs!r}: {exc}") from None
+
+
 def _node_rows(grid, values, mask):
     """CSV rows ``t, v1, ..., vk`` with masked nodes left empty."""
     values = np.atleast_2d(values.T).T  # (n_nodes, k)
@@ -153,23 +167,16 @@ def cmd_solve(config: RunConfig) -> int:
         lagrangian = PROBLEMS[config.problem].lagrangian(config, alpha)
         results[alpha] = x, LG.el_residual(lagrangian, x, alpha)
     # every order is solved and checked before anything is written
-    os.makedirs(config.outputs, exist_ok=True)
     names = [f"x{j + 1}" for j in range(config.dim)]
+    residual_names = [f"r{j + 1}" for j in range(config.dim)]
+    files = []
     for alpha, (x, residual) in results.items():
-        tag = _alpha_tag(alpha)
-        comments = _comment_lines(config, "solve", alpha)
-        _write_csv(
-            os.path.join(config.outputs, f"solution_alpha{tag}.csv"),
-            comments,
-            ["t"] + names,
-            _node_rows(x.grid, x.values, None),
-        )
-        _write_csv(
-            os.path.join(config.outputs, f"residual_alpha{tag}.csv"),
-            comments,
-            ["t"] + [f"r{j + 1}" for j in range(config.dim)],
-            _node_rows(x.grid, residual.values, residual.mask),
-        )
+        tag, comments = _alpha_tag(alpha), _comment_lines(config, "solve", alpha)
+        solution_rows = _node_rows(x.grid, x.values, None)
+        residual_rows = _node_rows(x.grid, residual.values, residual.mask)
+        files.append((f"solution_alpha{tag}.csv", comments, ["t"] + names, solution_rows))
+        files.append((f"residual_alpha{tag}.csv", comments, ["t"] + residual_names, residual_rows))
+    _write_outputs(config.outputs, files)
     return 0
 
 
@@ -187,18 +194,13 @@ def cmd_noether(config: RunConfig) -> int:
         except ValueError as exc:
             raise ConfigError(f"alpha = {_alpha_tag(alpha)}: {exc}") from None
     # every order is evaluated and reduced before anything is written
-    os.makedirs(config.outputs, exist_ok=True)
     convention = _convention(config, "noether")
-    summary = []
-    offenders = []
+    files, summary, offenders = [], [], []
     for alpha, report in reports.items():
         series = report.series
-        _write_csv(
-            os.path.join(config.outputs, f"quantity_alpha{_alpha_tag(alpha)}.csv"),
-            _comment_lines(config, "noether", alpha),
-            ["t", "I"],
-            _node_rows(series.grid, series.values[:, None], series.mask),
-        )
+        tag, comments = _alpha_tag(alpha), _comment_lines(config, "noether", alpha)
+        rows = _node_rows(series.grid, series.values[:, None], series.mask)
+        files.append((f"quantity_alpha{tag}.csv", comments, ["t", "I"], rows))
         summary.append(
             [
                 _fmt(alpha),
@@ -211,12 +213,9 @@ def cmd_noether(config: RunConfig) -> int:
         )
         if report.relative_drift > config.drift_tolerance:
             offenders.append((alpha, report.relative_drift))
-    _write_csv(
-        os.path.join(config.outputs, "drift_summary.csv"),
-        _comment_lines(config, "noether"),
-        ["alpha", "min", "max", "mean", "relative_drift", "convention"],
-        summary,
-    )
+    header = ["alpha", "min", "max", "mean", "relative_drift", "convention"]
+    files.append(("drift_summary.csv", _comment_lines(config, "noether"), header, summary))
+    _write_outputs(config.outputs, files)
     if config.expected_conserved and offenders:
         alpha, worst = offenders[0]
         print(
@@ -272,7 +271,6 @@ def cmd_check(config: RunConfig) -> int:
     except OverflowError as exc:  # math.exp of a large group parameter
         raise ConfigError(f"group {config.group!r}: time map overflows ({exc})") from None
 
-    os.makedirs(config.outputs, exist_ok=True)
     comments = _comment_lines(config, "check", alpha)
     comments.append(
         f"# group = {config.group}; chain rule at s = {CHAIN_RULE_S:g}; "
@@ -282,11 +280,8 @@ def cmd_check(config: RunConfig) -> int:
         [name, "true" if r.passed else "false", _fmt(r.max_violation)]
         for name, r in reports
     ]
-    _write_csv(
-        os.path.join(config.outputs, "checks.csv"),
-        comments,
-        ["check", "passed", "max_violation"],
-        rows,
+    _write_outputs(
+        config.outputs, [("checks.csv", comments, ["check", "passed", "max_violation"], rows)]
     )
     failed = [name for name, r in reports if not r.passed]
     if failed:

@@ -355,6 +355,6 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     return make_config(parse_pairs(text))

@@ -9,15 +9,18 @@ problem restricted to w = 1, and the "second Euler-Lagrange" node series
 L - D^alpha x . dL/dv whose constancy is probed by the conservation checks.
 
 Every Lagrangian series along a trajectory, here and in ``noether`` and
-``symmetry``, comes from ``_Along``: it refuses a partly masked trajectory
-before any apply, takes D_a+ x, each partial and the package's one D_b-
-outside ``fracops`` (of the momentum dL/dv) once per (L, x, alpha,
-convention), applies D_a+ to further series per call (``fracops`` keeps
-their convolutions), and names the operators its own call took.  Those
-ingredients live in the most recent ``_Context``, one module-level slot
-shared by all public calls: a call on the same L and x objects at an
-equal order and convention reads them, any other call replaces them.
-``_operators`` spells the operators of every context and CSV header.
+``symmetry``, comes from one ``_Along``.  It takes D_a+ x on
+construction, and each partial and the package's one D_b- outside
+``fracops`` (of the momentum dL/dv) at most once.  Its ``left`` alone
+decides how D_a+ of a further series is taken: no apply for an all-zero
+series or one equal to x bit for bit, one apply otherwise (``fracops``
+keeps the convolutions).  Public calls reach it through ``_along``, which
+refuses a partly masked trajectory or a bad argument before any apply,
+and which keeps the most recent ``_Along`` in one module-level slot shared
+by all public calls: a call on the same L and x objects at an equal order
+and convention reads it, any other call replaces it.  ``_operators``
+spells the operators of every context and CSV header; each series passes
+it whether it took D_b-.
 
 Evaluator contract: each evaluator is called once per series on node
 arrays, component axis last: ``t`` of shape (M,), ``x`` and ``v`` of shape
@@ -235,84 +238,38 @@ def _operators(convention: str, right: bool) -> str:
     return f"D_a+ = {convention}" + (", D_b- = rl" if right else "")
 
 
-class _Context:
-    """The ingredients of one (L, x, alpha, convention), each taken at most
-    once and stored read-only: D_a+ x on construction, then on demand the
-    sampled partials and D_b- of the momentum."""
+class _Along:
+    """A Lagrangian along one trajectory at one order and convention.
+    D_a+ x is taken on construction, then on demand each sampled partial
+    and D_b- of the momentum, each at most once and stored read-only.
+    Public calls reach the shared instance through ``_along``; one built
+    directly is unshared."""
 
     def __init__(self, L, x, o, convention):
-        self.L, self.x, self.o, self.convention = L, x, o, convention
+        self.L, self.x, self.grid, self.o, self.convention = L, x, x.grid, o, convention
         self._op = _LEFT_OPS[convention]
         self.dxa = self._op(x.grid, o, x).values
         self._partials, self._right = {}, None
 
-    def at(self, name: str) -> np.ndarray:
-        out = self._partials.get(name)
-        if out is None:
-            out = _node_series(self.L, name, self.x.grid.nodes, self.x.values, self.dxa).view()
-            out.setflags(write=False)
-            self._partials[name] = out
-        return out
-
-    def right_of_momentum(self) -> np.ndarray:
-        if self._right is None:
-            p, grid = self.at("d_v"), self.x.grid
-            rows = np.all(np.isfinite(p), axis=1)
-            self._right = rl_right(grid, self.o, make_trajectory(grid, p, mask=rows)).values
-        return self._right
-
-
-# the most recent context: strong references, so no id in its key can be
-# reused while it is held, and one context alive at a time
-_slot = None
-
-
-def _context(L, x, o, convention) -> _Context:
-    global _slot
-    ctx = _slot
-    if not (
-        ctx is not None
-        and ctx.L is L
-        and ctx.x is x
-        and ctx.o.alpha == o.alpha
-        and ctx.convention == convention
-    ):
-        ctx = _slot = _Context(L, x, o, convention)
-    return ctx
-
-
-class _Along:
-    """A Lagrangian along one trajectory, as one public call sees it.
-    Construction checks the order, that ``x`` is fully defined (``what``
-    names the caller), the dims and the convention, so a bad argument
-    raises before any apply.  The ingredients come from the one shared
-    ``_Context`` of (L, x, alpha, convention), so each is taken once per
-    (L, x, alpha, convention), not once per call; the view records
-    whether this call took D_b-, for ``operators()``."""
-
-    def __init__(self, L, x, alpha, what, convention=_DEFAULT_CONVENTION):
-        self.o = _order(alpha)
-        _require_defined(x, what)
-        if L.dim != x.dim:
-            raise ValueError(f"Lagrangian dim {L.dim} != trajectory dim {x.dim}")
-        if convention not in _LEFT_OPS:
-            raise ValueError(
-                f"convention must be one of {sorted(_LEFT_OPS)}, got {convention!r}"
-            )
-        self._ctx = _context(L, x, self.o, convention)
-        self.x, self.grid, self.dxa, self.took_right = x, x.grid, self._ctx.dxa, False
-
     def left(self, values: np.ndarray) -> np.ndarray:
-        """D_a+ of a further node series, in the convention of D_a+ x.  An
-        all-zero series skips the apply: both conventions map it to +0.0,
-        NaN where D_a+ x is undefined."""
+        """D_a+ of a node series, in the convention of D_a+ x.  An all-zero
+        series takes no apply: both conventions map it to +0.0, NaN where
+        D_a+ x is undefined.  Nor does a series equal to x bit for bit (an
+        identity space map, xi = x): it takes D_a+ x itself."""
         if not np.any(values):
             return np.where(np.isnan(self.dxa), np.nan, 0.0)
-        return self._ctx._op(self.grid, self.o, make_trajectory(self.grid, values)).values
+        if values.shape == self.x.values.shape and values.tobytes() == self.x.values.tobytes():
+            return self.dxa
+        return self._op(self.grid, self.o, make_trajectory(self.grid, values)).values
 
     def at(self, name: str) -> np.ndarray:
         """The Lagrangian's ``name`` evaluator at (t, x, D_a+ x)."""
-        return self._ctx.at(name)
+        out = self._partials.get(name)
+        if out is None:
+            out = _node_series(self.L, name, self.grid.nodes, self.x.values, self.dxa).view()
+            out.setflags(write=False)
+            self._partials[name] = out
+        return out
 
     def w_partial(self, factor: float) -> np.ndarray:
         """L - factor * D_a+ x . dL/dv: at factor = alpha the Jost extension's
@@ -323,11 +280,42 @@ class _Along:
         """D_b- of the momentum dL/dv, rows with a NaN masked, and with
         them every node whose D_b- reads one: the package's one D_b-
         outside ``fracops``."""
-        self.took_right = True
-        return self._ctx.right_of_momentum()
+        if self._right is None:
+            p, grid = self.at("d_v"), self.grid
+            rows = np.all(np.isfinite(p), axis=1)
+            self._right = rl_right(grid, self.o, make_trajectory(grid, p, mask=rows)).values
+        return self._right
 
-    def operators(self) -> str:
-        return _operators(self._ctx.convention, self.took_right)
+
+# the most recent shared _Along: strong references, so no id in its key
+# can be reused while it is held, and one alive at a time
+_slot = None
+
+
+def _along(L, x, alpha, what, convention=_DEFAULT_CONVENTION) -> _Along:
+    """L along x for the public call ``what``.  The order, that ``x`` is
+    fully defined, the dims and the convention are checked before any
+    apply.  The shared _Along is reused when it holds the same L and x
+    objects at an equal order and convention, so each ingredient is taken
+    once per (L, x, alpha, convention), not once per call; otherwise a
+    new one replaces it."""
+    global _slot
+    o = _order(alpha)
+    _require_defined(x, what)
+    if L.dim != x.dim:
+        raise ValueError(f"Lagrangian dim {L.dim} != trajectory dim {x.dim}")
+    if convention not in _LEFT_OPS:
+        raise ValueError(f"convention must be one of {sorted(_LEFT_OPS)}, got {convention!r}")
+    s = _slot
+    if not (
+        s is not None
+        and s.L is L
+        and s.x is x
+        and s.o.alpha == o.alpha
+        and s.convention == convention
+    ):
+        s = _slot = _Along(L, x, o, convention)
+    return s
 
 
 def _el_residual(s: _Along) -> Trajectory:
@@ -339,7 +327,7 @@ def _el_residual(s: _Along) -> Trajectory:
 
 def action(L: LagrangianSpec, x: Trajectory, alpha) -> float:
     """Trapezoid quadrature of L(t, x, caputo_left(x)) over the grid."""
-    s = _Along(L, x, alpha, "action")
+    s = _along(L, x, alpha, "action")
     f = s.at("eval")
     if not np.all(np.isfinite(f)):
         k = int(np.argmin(np.isfinite(f)))
@@ -354,7 +342,7 @@ def el_residual(L: LagrangianSpec, x: Trajectory, alpha) -> Trajectory:
     its undefined boundary node (t = b, alpha < 1) stays masked in the
     output.
     """
-    return _el_residual(_Along(L, x, alpha, "el_residual"))
+    return _el_residual(_along(L, x, alpha, "el_residual"))
 
 
 def second_el_quantity(L: LagrangianSpec, x: Trajectory, alpha) -> QuantitySeries:
@@ -364,8 +352,9 @@ def second_el_quantity(L: LagrangianSpec, x: Trajectory, alpha) -> QuantitySerie
     constancy along extremals is the fractional second Euler-Lagrange
     condition under test in the conservation checks.
     """
-    s = _Along(L, x, alpha, "second_el_quantity")
-    return make_series(s.grid, s.w_partial(1.0), context=f"second form; {s.operators()}")
+    s = _along(L, x, alpha, "second_el_quantity")
+    context = f"second form; {_operators(s.convention, right=False)}"
+    return make_series(s.grid, s.w_partial(1.0), context=context)
 
 
 def extended_el_residual(E: ExtendedLagrangianSpec, x: Trajectory, alpha_factor: bool = True):
@@ -380,10 +369,11 @@ def extended_el_residual(E: ExtendedLagrangianSpec, x: Trajectory, alpha_factor:
     ``alpha_factor=False`` drops the factor alpha on the mixed term; the two
     variants differ in the literature and both are useful for comparison.
     """
-    s = _Along(E.base, x, E.alpha, "extended_el_residual")
+    s = _along(E.base, x, E.alpha, "extended_el_residual")
     inner = s.w_partial(s.o.alpha if alpha_factor else 1.0)
     res_b = s.at("d_t") - np.gradient(inner, s.grid.h, edge_order=2)
     res_x = _el_residual(s)
     weight = "alpha-weighted" if alpha_factor else "unweighted"
-    context = f"t-equation, {weight} mixed term; {s.operators()} (with the x-equations)"
+    operators = _operators(s.convention, right=True)
+    context = f"t-equation, {weight} mixed term; {operators} (with the x-equations)"
     return res_x, make_series(s.grid, res_b, context=context)

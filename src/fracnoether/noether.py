@@ -14,16 +14,19 @@ All quantities come from one assembly at a symmetry generator: the
 autonomous and oscillator quantities are the general one at the time
 translation (the oscillator's with its stock Lagrangian), and the two
 residual series draw on the same ingredients.  Those come from
-``lagrangian._Along``, the package's one evaluation of a Lagrangian along
+``lagrangian._along``, the package's one evaluation of a Lagrangian along
 a trajectory: it checks the arguments before any apply; takes D_a+ x,
 each partial and D_b- of the momentum dL/dv once per (L, x, alpha,
 convention), shared by quantities and residuals on one trajectory;
-applies D_a+ to further series (none if all zero), whose convolutions
-``fracops`` keeps; computes the Jost w-partial L - f D_a+ x . dL/dv;
-and names the operators each call took.
-This module applies and names no operator itself.
+decides in ``left`` whether D_a+ of a further series needs an apply
+(none for an all-zero series or for x itself), and ``fracops`` keeps
+the convolutions of those that do; and computes the Jost w-partial
+L - f D_a+ x . dL/dv.  Each series names its operators with
+``lagrangian._operators``, passing whether it took D_b-.
+This module applies no operator and spells no operator name itself.
 
-Conventions (each series' ``context`` names D_b- exactly when one ran):
+Conventions (each series' ``context`` names D_b- exactly when its value
+uses one):
 
 * Left derivatives D_a+ default to Caputo, matching the velocity slot of
   the action; ``convention="rl"`` switches them to Riemann-Liouville,
@@ -56,8 +59,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fracops import Trajectory
-from .lagrangian import _DEFAULT_CONVENTION, LagrangianSpec, QuantitySeries, _Along
-from .lagrangian import _as_series, make_series
+from .lagrangian import _DEFAULT_CONVENTION, LagrangianSpec, QuantitySeries, _Along, _along
+from .lagrangian import _as_series, _operators, make_series
 from .presets import oscillator_lagrangian
 from .symmetry import GroupSpec, time_translation
 
@@ -126,6 +129,7 @@ def _group_series(g: GroupSpec, x: Trajectory):
 def _quantity(s: _Along, g: GroupSpec, variant: str, form: str, diffs: str) -> QuantitySeries:
     """The Noether-type quantity of generator ``g`` (see noether_quantity)."""
     h = s.grid.h
+    right = variant == "conslaw"
     zeta, zeta_dot, xi = _group_series(g, s.x)
     xdot = np.gradient(s.x.values, h, axis=0, edge_order=2)
     lvals = s.at("eval")
@@ -135,7 +139,7 @@ def _quantity(s: _Along, g: GroupSpec, variant: str, form: str, diffs: str) -> Q
     # and so does a boundary term or running integral that overflows
     with np.errstate(over="ignore", invalid="ignore"):
         shifted = xdot * zeta[:, None] - xi
-        if variant == "conslaw":
+        if right:
             lead = np.sum(s.right_of_momentum() * shifted, axis=1)
         else:
             # on stationary trajectories D_b-[dL/dv] = -dL/dx; substituting
@@ -151,7 +155,7 @@ def _quantity(s: _Along, g: GroupSpec, variant: str, form: str, diffs: str) -> Q
     # node k integrates over nodes 0..k; node 0 is the zero endpoint
     mask = np.isfinite(values)
     mask[1:] &= np.logical_and.accumulate(fmask[1:])
-    context = f"{form}; {s.operators()}; {diffs} by central differences"
+    context = f"{form}; {_operators(s.convention, right)}; {diffs} by central differences"
     return make_series(s.grid, np.where(mask, values, np.nan), mask=mask, context=context)
 
 
@@ -183,7 +187,7 @@ def noether_quantity(
         raise ValueError(
             f"variant must be {' or '.join(map(repr, VARIANTS))}, got {variant!r}"
         )
-    s = _Along(L, x, alpha, "noether_quantity", convention)
+    s = _along(L, x, alpha, "noether_quantity", convention)
     return _quantity(s, g, variant, f"{variant} form", "xdot and zeta-dot")
 
 
@@ -201,7 +205,7 @@ def autonomous_quantity(
     (zeta = 1, xi = 0).  Rejects Lagrangians whose sampled |dL/dt|
     exceeds ``AUTONOMY_TOL`` along the trajectory.
     """
-    s = _Along(L, x, alpha, "autonomous_quantity", convention)
+    s = _along(L, x, alpha, "autonomous_quantity", convention)
     tvals = s.at("d_t")
     worst = float(np.max(np.abs(tvals), initial=0.0, where=np.isfinite(tvals)))
     if worst > AUTONOMY_TOL:
@@ -227,7 +231,7 @@ def oscillator_quantity(u: Trajectory, omega: float, alpha) -> QuantitySeries:
     """
     if u.dim != 1:
         raise ValueError(f"oscillator_quantity expects a scalar trajectory, got dim {u.dim}")
-    s = _Along(oscillator_lagrangian(omega), u, alpha, "oscillator_quantity")
+    s = _along(oscillator_lagrangian(omega), u, alpha, "oscillator_quantity")
     if u.values[0, 0] != 0.0:
         warnings.warn(
             f"u(a) = {u.values[0, 0]:g} != 0: the Caputo and "
@@ -261,7 +265,7 @@ def infinitesimal_criterion_residual(
     it (the plain-derivative form), which is inconsistent with the
     extension for alpha < 1 and generically non-zero even on symmetries.
     """
-    s = _Along(L, x, alpha, "infinitesimal_criterion_residual", convention)
+    s = _along(L, x, alpha, "infinitesimal_criterion_residual", convention)
     zeta, zeta_dot, xi = _group_series(g, x)
     series = (
         s.at("d_t") * zeta
@@ -270,7 +274,7 @@ def infinitesimal_criterion_residual(
         + np.sum(s.at("d_v") * s.left(xi), axis=1)
     )
     weight = "alpha-weighted" if ce_alpha_factor else "unweighted"
-    context = f"{weight} boundary-velocity term; {s.operators()}"
+    context = f"{weight} boundary-velocity term; {_operators(s.convention, right=False)}"
     return make_series(s.grid, series, context=context)
 
 
@@ -290,11 +294,12 @@ def weak_theorem_residual(
     the trajectory, which holds automatically at alpha = 1 but
     generically fails for alpha < 1; the series quantifies that failure.
     """
-    s = _Along(L, x, alpha, "weak_theorem_residual", convention)
+    s = _along(L, x, alpha, "weak_theorem_residual", convention)
     zeta, _, xi = _group_series(g, x)
     series = (
         np.gradient(s.w_partial(1.0) * zeta, s.grid.h, edge_order=2)
         + np.sum(s.at("d_v") * s.left(xi), axis=1)
         - np.sum(s.right_of_momentum() * xi, axis=1)
     )
-    return make_series(s.grid, series, context=f"{s.operators()}; d/dt by central differences")
+    context = f"{_operators(s.convention, right=True)}; d/dt by central differences"
+    return make_series(s.grid, series, context=context)

@@ -16,12 +16,14 @@ time map or action that could not be evaluated) becomes the reported
 violation and fails the check.  Exceptions are reserved for unusable
 inputs, e.g. a time map that is not increasing on the interval (so no
 transformed grid exists) or a partially defined trajectory.  The actions
-along x in ``check_invariance`` are sampled through ``lagrangian._Along``,
-like every other Lagrangian series, so D_a+ x and L along x are taken once
-per (L, x, alpha, convention) and shared with the quantities on the same
-trajectory.  Only ``check_chain_rule`` and the fixed-base transformed
-actions, each on its own resampled path, apply an operator here, so they
-leave the shared context that of x.
+in ``check_invariance`` come from ``lagrangian._Along``, like every other
+Lagrangian series: along x from the shared one (``lagrangian._along``),
+so D_a+ x and L along x are taken once per (L, x, alpha, convention) and
+shared with the quantities on the same trajectory, and a mapped copy of x
+equal to it bit for bit (every translation and dilation) takes D_a+ x
+without an apply; the fixed-base actions, each along its own resampled
+path, from an unshared one, so the shared one stays that of x.  Only
+``check_chain_rule`` applies an operator here.
 
 Group closures must be pure functions.
 
@@ -63,7 +65,7 @@ from .fracops import (
     make_grid,
     make_trajectory,
 )
-from .lagrangian import LagrangianSpec, _Along, _as_series, _node_series
+from .lagrangian import LagrangianSpec, _Along, _along, _as_series, _node_series
 
 DEFAULT_S_SAMPLES = (-0.5, -0.1, 0.1, 0.5)
 DEFAULT_T_COUNT = 33
@@ -380,7 +382,7 @@ def check_invariance(
     raises ValueError.
     """
     s_arr = _samples(s_samples, DEFAULT_S_SAMPLES, "s_samples")
-    along = _Along(L, x, alpha, "check_invariance")
+    along = _along(L, x, alpha, "check_invariance")
     o, grid = along.o, along.grid
     # an action that overflows is a non-finite sample, which fails the check
     with np.errstate(over="ignore", invalid="ignore"):
@@ -398,18 +400,13 @@ def check_invariance(
                         f"got phi0_s(a) = {tau_nodes[0]:g} for s = {s:g}"
                     )
                 z = _resample(tau_nodes, y_vals, grid.a, grid.n_sub)
-                # L along z, outside the shared context, which stays that of x
-                dz = caputo_left(z.grid, o, z).values
-                on_z = _node_series(L, "eval", z.grid.nodes, z.values, dz)
+                # L along z, unshared: the shared _Along stays that of x
+                on_z = _Along(L, z, o, along.convention).at("eval")
                 transformed = float(np.trapezoid(on_z, dx=z.grid.h))
             else:
                 k_factor = dilation_factor(g, s, grid.nodes)
                 times = _time_map(g, s, grid.nodes)
-                # a space map that leaves x bit for bit (every translation
-                # and dilation) reuses D_a+ x
-                same = y_vals.tobytes() == x.values.tobytes()
-                dy = along.dxa if same else along.left(y_vals)
-                scaled = dy * k_factor ** (-o.alpha)
+                scaled = along.left(y_vals) * k_factor ** (-o.alpha)
                 series = _node_series(L, "eval", times, y_vals, scaled) * k_factor
                 transformed = float(np.trapezoid(series, dx=grid.h))
             gap = abs(transformed - reference) / (abs(reference) + 1.0)

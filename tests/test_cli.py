@@ -575,6 +575,40 @@ class TestExitCodes:
         assert main(["solve", "--config", missing]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"problem = harmonic2d\nalphas = 0.5\xff\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: cannot read config {str(cfg)!r}: 'utf-8' codec can't decode "
+            "byte 0xff in position 33: invalid start byte\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+    @pytest.mark.parametrize("command", ["solve", "noether", "check"])
+    @pytest.mark.parametrize("where", ["empty-out", "file-out", "nul-outputs"])
+    def test_unwritable_outputs_exit_1(self, tmp_path, capsys, monkeypatch, command, where):
+        # an outputs path that cannot be written is a configuration error:
+        # one stderr line, no traceback, and nothing created
+        monkeypatch.chdir(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        text = "problem = harmonic2d\nalphas = 0.5\nn_sub = 20\n"
+        argv = [command, "--config", "run.cfg"]
+        if where == "empty-out":
+            outputs, argv = "", argv + ["--out", ""]
+        elif where == "file-out":
+            outputs, argv = str(taken), argv + ["--out", str(taken)]
+        else:
+            outputs, text = "o\0ut", text + "outputs = o\0ut\n"
+        write_config(tmp_path, text)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write outputs to {outputs!r}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg", "taken"]
+        assert taken.read_text() == "kept\n"
+
     def test_usage_errors_exit_1(self, capsys):
         assert main([]) == 1
         assert main(["solve"]) == 1

@@ -19,7 +19,7 @@ from fracnoether import noether as NO
 from fracnoether import presets as PR
 from fracnoether import symmetry as SY
 
-from common import count_convolutions, count_right_applies
+from common import count_convolutions, count_left_applies, count_right_applies
 
 ALPHA = 0.6
 N_SUB = 48
@@ -138,16 +138,16 @@ class TestLeftMap:
     def test_equal_bytes_hit_and_one_ulp_misses(self, monkeypatch):
         calls = count_convolutions(monkeypatch)
         L, (x, _) = _lagrangian(), _paths()
-        along = LG._Along(L, x, ALPHA, "test")
+        along = LG._along(L, x, ALPHA, "test")
         y = np.cos(np.outer(x.grid.nodes, [1.0, 2.0]))
         first = along.left(y)
         assert len(calls) == 2  # D_a+ x, then D_a+ y
-        # equal bytes in another array, seen through another view, x itself,
-        # and y in the other convention: no new convolution
-        again = LG._Along(L, x, ALPHA, "test").left(y.copy())
+        # equal bytes in another array, through another lookup, and y in the
+        # other convention: no new convolution; x's bytes give D_a+ x itself
+        again = LG._along(L, x, ALPHA, "test").left(y.copy())
         assert again.tobytes() == first.tobytes()
-        assert along.left(x.values.copy()).tobytes() == along.dxa.tobytes()
-        LG._Along(L, x, ALPHA, "test", "rl").left(y.copy())
+        assert along.left(x.values.copy()) is along.dxa
+        LG._along(L, x, ALPHA, "test", "rl").left(y.copy())
         assert len(calls) == 2
         bumped = y.copy()
         bumped[7, 1] = np.nextafter(bumped[7, 1], math.inf)
@@ -159,10 +159,37 @@ class TestLeftMap:
         assert len(calls) == 4
         assert other.tobytes() == applied.values.tobytes()
 
+    def test_xi_equal_to_x_takes_d_a_x_itself(self, monkeypatch):
+        # phi1_s(x) = e^s x has xi(x) = x, here a copy equal to x bit for
+        # bit: the quantity applies D_a+ to x and xdot only
+        applies = count_left_applies(monkeypatch)
+
+        def scaling(sign):
+            return SY.GroupSpec(
+                phi0=lambda s, t: t,
+                phi1=lambda s, x: math.exp(sign * s) * np.asarray(x, dtype=float),
+                zeta=lambda t: 0.0,
+                xi=lambda x: sign * np.array(x, dtype=float),
+                lam=0.0,
+            )
+
+        L, (x, _) = _lagrangian(), _paths()
+        q = NO.noether_quantity(L, scaling(1.0), x, ALPHA)
+        xdot = np.gradient(x.values, x.grid.h, axis=0, edge_order=2)
+        assert applies[0] is x
+        assert [y.values.tobytes() for y in applies[1:]] == [xdot.tobytes()]
+        # against the applied path: xi = -x is applied (after xdot again),
+        # and every rounding step is symmetric under negation, so the values
+        # are equal (node 0 is 0.0 against -0.0)
+        inverse = NO.noether_quantity(L, scaling(-1.0), x, ALPHA)
+        assert [y.values.tobytes() for y in applies[3:]] == [(-x.values).tobytes()]
+        assert np.array_equal(q.mask, inverse.mask)
+        assert np.array_equal(q.values, -inverse.values, equal_nan=True)
+
     def test_many_series_keep_a_bounded_map(self, monkeypatch):
         calls = count_convolutions(monkeypatch)
         L, (x, _) = _lagrangian(), _paths()
-        along = LG._Along(L, x, ALPHA, "test")
+        along = LG._along(L, x, ALPHA, "test")
         series = [np.cos(np.outer(x.grid.nodes, [1.0, k])) for k in range(2, 22)]
         for y in series:
             along.left(y)
@@ -182,10 +209,10 @@ class TestLeftMap:
         L, (x, u) = _lagrangian(), _paths()
         for call in _calls("caputo").values():
             call(L, x, u)
-        ctx = LG._Along(L, x, ALPHA, "test")._ctx
+        along = LG._along(L, x, ALPHA, "test")
         kept = [out for _, blocks in calls for _, out in blocks["results"]]
-        cached = [ctx.dxa, ctx._right, *ctx._partials.values(), *kept]
-        assert len(ctx._partials) == 4 and len(kept) >= _kernels._KEPT
+        cached = [along.dxa, along._right, *along._partials.values(), *kept]
+        assert len(along._partials) == 4 and len(kept) >= _kernels._KEPT
         for arr in cached:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -274,7 +301,7 @@ class TestOneSlot:
         y, _ = _paths()
         LG.action(L, x, ALPHA)
         held = weakref.ref(x)
-        context = weakref.ref(LG._Along(L, x, ALPHA, "test")._ctx)
+        context = weakref.ref(LG._along(L, x, ALPHA, "test"))
         LG.action(L, y, ALPHA)
         del x
         assert held() is None
@@ -284,7 +311,7 @@ class TestOneSlot:
         L, (x, _) = _lagrangian(), _paths()
 
         def context(L, x, alpha, convention="caputo", what="test"):
-            return LG._Along(L, x, alpha, what, convention)._ctx
+            return LG._along(L, x, alpha, what, convention)
 
         for key in (
             (_lagrangian(), x, ALPHA),

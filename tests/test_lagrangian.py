@@ -332,7 +332,7 @@ class TestAlong:
         # n_sub spans grids inside one near-field block and grids with FFT levels
         g = F.make_grid(a, a + length, n_sub)
         x = F.make_trajectory(g, np.cos(np.outer(g.nodes, np.arange(1, dim + 1))))
-        along = Lmod._Along(PR.kappa_lagrangian(-1.0, dim=dim), x, alpha, "test", convention)
+        along = Lmod._along(PR.kappa_lagrangian(-1.0, dim=dim), x, alpha, "test", convention)
         zeros = np.full((g.n_nodes, dim), zero)
         got = along.left(zeros)
         ref = Lmod._LEFT_OPS[convention](g, along.o, F.make_trajectory(g, zeros))

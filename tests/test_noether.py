@@ -656,7 +656,8 @@ class TestMaskedIntegrand:
 
 
 class TestSinglePath:
-    # every series takes D_b- of the momentum through _Along.right_of_momentum,
+    # every series takes D_b- of the momentum from lagrangian's one
+    # evaluation object (_Along.right_of_momentum, reached through _along),
     # the one rl_right call outside fracops
     @pytest.mark.parametrize(
         "call",

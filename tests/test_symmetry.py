@@ -422,11 +422,13 @@ class TestInvariance:
     @pytest.mark.parametrize("alpha", [0.3, 1.0])
     def test_left_of_x_is_bit_identical_to_an_apply(self, alpha):
         grid, traj = smooth_trajectory()
-        along = Lmod._Along(quadratic_lagrangian(), traj, alpha, "test")
+        along = Lmod._along(quadratic_lagrangian(), traj, alpha, "test")
         applied = F.caputo_left(grid, alpha, F.make_trajectory(grid, traj.values.copy()))
         assert along.left(traj.values.copy()).tobytes() == applied.values.tobytes()
-        # so check_invariance may take D_a+ x for an identity space map
+        # so left() may take D_a+ x itself for a series equal to x bit for
+        # bit, as under an identity space map
         assert along.dxa.tobytes() == applied.values.tobytes()
+        assert along.left(traj.values.copy()) is along.dxa
 
     def test_fixed_base_rejects_moving_base_point(self):
         _, traj = smooth_trajectory()
